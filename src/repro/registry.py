@@ -23,7 +23,9 @@ Registered flavours:
 ========================  ====================================================
 """
 
-from typing import Any, Callable, Dict, Tuple
+import functools
+import inspect
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.baselines.trivial import TrivialController
@@ -78,6 +80,21 @@ def resolve_flavor(flavor: str) -> str:
     return key
 
 
+@functools.lru_cache(maxsize=None)
+def _accepted_options(factory: _Factory) -> Optional[Tuple[str, ...]]:
+    """The keywords ``factory`` takes beyond the tree and (M, W, U);
+    ``None`` when it takes arbitrary keywords.  Cached: inspecting a
+    signature costs several controller constructions, and the apps
+    build a controller per iteration."""
+    accepted = []
+    for name, param in inspect.signature(factory).parameters.items():
+        if param.kind is inspect.Parameter.VAR_KEYWORD:
+            return None
+        if name not in ("tree", "m", "w", "u"):
+            accepted.append(name)
+    return tuple(accepted)
+
+
 def make_controller(flavor: str, tree: DynamicTree, *, m: int, w: int = 0,
                     u: int = 0, **kwargs: Any) -> ControllerProtocol:
     """Build a controller of the requested ``flavor`` on ``tree``.
@@ -89,11 +106,21 @@ def make_controller(flavor: str, tree: DynamicTree, *, m: int, w: int = 0,
     ``kernel_trace=``, ...).
 
     Raises :class:`repro.errors.ConfigError` for an unknown flavour
-    (listing the registry) or a missing ``u`` where one is required —
-    one exception type for every misconfiguration, whatever the flavour.
+    (listing the registry), a missing ``u`` where one is required, or a
+    keyword the flavour's constructor does not take (listing the ones
+    it does) — one exception type for every misconfiguration, whatever
+    the flavour.
     """
     key = resolve_flavor(flavor)
     factory = CONTROLLER_REGISTRY[key]
+    accepted = _accepted_options(factory)
+    if accepted is not None:
+        unknown = sorted(set(kwargs) - set(accepted))
+        if unknown:
+            raise ConfigError(
+                f"flavor {key!r} takes no option "
+                f"{', '.join(map(repr, unknown))}; accepted: "
+                f"{', '.join(accepted)}")
     if key in _NEEDS_U and u <= 0:
         raise ConfigError(
             f"flavor {key!r} needs the node bound u (got {u!r}); only the "

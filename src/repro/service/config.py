@@ -27,7 +27,7 @@ from repro.distributed.faults import FaultPlan, parse_fault_spec
 from repro.errors import ConfigError
 from repro.registry import resolve_flavor
 from repro.sim.delays import DELAY_MODELS
-from repro.sim.policies import SCHEDULE_POLICIES
+from repro.sim.scheduler import SCHEDULE_POLICIES
 
 #: Flavours whose engine settles requests event-by-event on a scheduler
 #: (the session pumps the scheduler instead of calling ``handle``).
@@ -89,7 +89,7 @@ class SessionConfig:
     schedule_policy / delay_model / faults:
         Asynchrony knobs for the event-driven engine (ignored by the
         synchronous flavours, which have no scheduler to police):
-        a :mod:`repro.sim.policies` name, a :mod:`repro.sim.delays`
+        a :data:`repro.sim.SCHEDULE_POLICIES` name, a :mod:`repro.sim.delays`
         name, and an optional fault plan (a :class:`FaultPlan` or a
         ``"stall=0.05,storms=3"`` spec string).  A fault plan that
         needs a horizon must carry one explicitly — the session cannot

@@ -41,7 +41,6 @@ from typing import (
     List,
     Optional,
     Tuple,
-    Union,
 )
 
 from repro.core.kernel import KernelTrace
@@ -66,8 +65,6 @@ from repro.service.envelopes import (
     verdict_of,
 )
 from repro.sim.delays import make_delay_model
-from repro.sim.fastsched import FastScheduler, warn_fast_path_fallback
-from repro.sim.policies import make_policy
 from repro.sim.scheduler import Scheduler
 from repro.tree.dynamic_tree import DynamicTree
 
@@ -107,29 +104,13 @@ class ControllerSession:
                 f"traced flavours: {', '.join(TRACED_FLAVORS)}")
 
         kwargs: Dict[str, Any] = dict(spec.options)
-        # ``fast_path`` is session-interpreted (it decides which engine
-        # the session wires), so it is popped here rather than passed
-        # through to the controller constructor alongside a scheduler.
-        fast_path = bool(kwargs.pop("fast_path", False))
-        self.scheduler: Optional[Union[Scheduler, FastScheduler]] = None
+        self.scheduler: Optional[Scheduler] = None
         if spec.flavor in SCHEDULED_FLAVORS:
-            if fast_path and config.schedule_policy == "fifo":
-                self.scheduler = FastScheduler()
-            else:
-                if fast_path:
-                    warn_fast_path_fallback(
-                        f"schedule policy {config.schedule_policy!r} "
-                        "requires the reference engine")
-                self.scheduler = Scheduler(
-                    policy=make_policy(config.schedule_policy,
-                                       seed=config.seed))
+            self.scheduler = Scheduler(policy=config.schedule_policy,
+                                       seed=config.seed)
             kwargs["scheduler"] = self.scheduler
             kwargs["delays"] = make_delay_model(config.delay_model,
                                                 seed=config.seed)
-        elif fast_path:
-            raise ConfigError(
-                f"option 'fast_path' applies to the scheduled flavours "
-                f"({', '.join(SCHEDULED_FLAVORS)}), not {spec.flavor!r}")
         if spec.flavor == "distributed" and not config.fault_plan.is_noop:
             kwargs["faults"] = FaultInjector(config.fault_plan)
         self.trace: Optional[KernelTrace] = None
@@ -415,8 +396,8 @@ class ControllerSession:
 
         Synchronous flavours: serve the whole pending queue as one
         ``handle_batch`` (amortizing exactly as a direct batch call
-        would).  Event-driven engine: execute one scheduler event
-        (settlement callbacks fire from inside the step).  A closed
+        would).  Event-driven engine: run one scheduler batch
+        (settlement callbacks fire from inside it).  A closed
         session refuses to pump — in-flight tickets of a closed
         session never settle, they raise here instead.
 
@@ -431,9 +412,8 @@ class ControllerSession:
                 raise ControllerError("session is closed")
             if self._event_driven:
                 assert self.scheduler is not None
-                # One event per pump on the reference engine; the fast
-                # engine drains a batch per pump, amortizing this lock
-                # and the drain loop's frames across many events.
+                # A batch of events per pump amortizes this lock and
+                # the drain loop's frames across many events.
                 return self.scheduler.pump()
             if not self._pending:
                 return False

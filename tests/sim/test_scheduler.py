@@ -176,12 +176,13 @@ def test_cancel_after_pop_does_not_double_decrement():
 
 
 def test_cancel_hook_is_shared_across_events():
-    """The live-event bookkeeping hook is bound once per scheduler, not
-    allocated per schedule() call — and stays correct for every event."""
+    """Cancellation bookkeeping goes through the one scheduler every
+    handle points at (no per-event hook is allocated) — and stays
+    correct for every event."""
     sched = Scheduler()
     first = sched.schedule(1.0, lambda: None)
     second = sched.schedule(2.0, lambda: None)
-    assert first._canceller is second._canceller
+    assert first._sched is second._sched is sched
     first.cancel()
     second.cancel()
     assert sched.pending() == 0

@@ -7,10 +7,13 @@ from repro import (
     CONTROLLER_FLAVORS,
     ConfigError,
     ControllerProtocol,
+    ControllerSession,
+    ControllerSpec,
     ControllerView,
     ReproError,
     Request,
     RequestKind,
+    SessionConfig,
     controller_flavors,
     make_controller,
 )
@@ -88,6 +91,20 @@ def test_kwargs_pass_through():
     controller = make_controller("centralized", tree, m=20, w=4, u=40,
                                  counters=counters)
     assert controller.counters is counters
+
+
+@pytest.mark.parametrize("flavor", CONTROLLER_FLAVORS)
+def test_unknown_option_is_a_config_error(flavor):
+    """A keyword the flavour's constructor does not take is a
+    ConfigError naming the accepted keys — directly and through the
+    session's ``ControllerSpec.options`` — never a bare TypeError."""
+    tree = build_random_tree(5)
+    with pytest.raises(ConfigError, match="'fast_pth'; accepted: .*counters"):
+        make_controller(flavor, tree, m=20, w=4, u=40, fast_pth=True)
+    config = SessionConfig(controller=ControllerSpec(
+        flavor, m=20, w=4, u=40, options={"fast_pth": True}))
+    with pytest.raises(ConfigError, match="fast_pth"):
+        ControllerSession(config, tree=build_random_tree(5))
 
 
 # ----------------------------------------------------------------------

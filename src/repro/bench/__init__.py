@@ -2,14 +2,12 @@
 
 One-liner reproduction of the perf trajectory::
 
-    python -m repro.bench ancestry --sizes 200,400,800,1600,3200 --out BENCH_ancestry.json
     python -m repro.bench move_complexity
     python -m repro.bench batch --steps 2000 --batch-size 64
     python -m repro.bench scenario --topology path --controller iterated --steps 1000
     python -m repro.bench distributed_batch --sizes 200
-    python -m repro.bench kernel --out BENCH_kernel.json
-    python -m repro.bench profile --arms reference,fast
-    python -m repro.bench memory --fast-path
+    python -m repro.bench profile --scenario deep_burst
+    python -m repro.bench memory --sizes 100,400
     python -m repro.bench session --out BENCH_session.json
     python -m repro.bench apps --out BENCH_apps.json
     python -m repro.bench gateway --out BENCH_gateway.json
@@ -25,13 +23,11 @@ measurement works.
 
 from repro.bench.runner import (
     SCENARIOS,
-    run_ancestry,
     run_apps,
     run_batch,
     run_distributed_batch,
     run_fleet,
     run_gateway,
-    run_kernel,
     run_memory,
     run_move_complexity,
     run_profile,
@@ -41,13 +37,11 @@ from repro.bench.runner import (
 
 __all__ = [
     "SCENARIOS",
-    "run_ancestry",
     "run_apps",
     "run_batch",
     "run_distributed_batch",
     "run_fleet",
     "run_gateway",
-    "run_kernel",
     "run_memory",
     "run_move_complexity",
     "run_profile",

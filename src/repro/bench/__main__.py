@@ -3,7 +3,6 @@
 Examples::
 
     python -m repro.bench list
-    python -m repro.bench ancestry --out BENCH_request_engine.json
     python -m repro.bench move_complexity --sizes 200,400,800
     python -m repro.bench batch --steps 2000 --batch-size 64
     python -m repro.bench scenario --topology star --controller terminating
@@ -33,6 +32,20 @@ def _int_list(text: str):
     return [int(part) for part in text.split(",") if part]
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: a zero or negative value is a usage
+    error, not a crash deep inside the run."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
@@ -44,17 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common_out = dict(help="write the JSON document to this path as well")
 
-    p = sub.add_parser("ancestry",
-                       help="deep-path engine vs legacy wall clock")
-    p.add_argument("--sizes", type=_int_list, default=None,
-                   help="comma-separated path lengths (default: "
-                        "200,400,800,1600,3200)")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps-per-node", type=int, default=2,
-                   dest="steps_per_node")
-    p.add_argument("--out", **common_out)
-
     p = sub.add_parser("move_complexity",
                        help="Observation 3.4 sweep (bench_e02 shape)")
     p.add_argument("--sizes", type=_int_list, default=None)
@@ -63,9 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch",
                        help="handle_batch equivalence + throughput")
-    p.add_argument("--n", type=int, default=600)
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--batch-size", type=int, default=64, dest="batch_size")
+    p.add_argument("--n", type=_positive_int, default=600)
+    p.add_argument("--steps", type=_positive_int, default=2000)
+    p.add_argument("--batch-size", type=_positive_int, default=64,
+                   dest="batch_size")
     p.add_argument("--topology", default="random",
                    choices=["random", "path", "star", "caterpillar"])
     p.add_argument("--mix", default="default",
@@ -106,12 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=list(CONTROLLER_FLAVORS))
     p.add_argument("--mix", default="default",
                    choices=["default", "grow", "plain"])
-    p.add_argument("--n", type=int, default=500)
-    p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--batch-size", type=int, default=1, dest="batch_size")
+    p.add_argument("--n", type=_positive_int, default=500)
+    p.add_argument("--steps", type=_positive_int, default=1000)
+    p.add_argument("--batch-size", type=_positive_int, default=1,
+                   dest="batch_size")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-skip", action="store_false", dest="skip_ancestry",
-                   help="disable the request engine (legacy data paths)")
     p.add_argument("--out", **common_out)
 
     p = sub.add_parser("distributed_batch",
@@ -127,15 +129,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="session-layer overhead vs direct "
                             "handle_batch (equivalence-checked; "
                             "target <= 5%% amortized)")
-    p.add_argument("--n", type=int, default=600)
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--batch-size", type=int, default=64, dest="batch_size")
+    p.add_argument("--n", type=_positive_int, default=600)
+    p.add_argument("--steps", type=_positive_int, default=2000)
+    p.add_argument("--batch-size", type=_positive_int, default=64,
+                   dest="batch_size")
     p.add_argument("--topology", default="random",
                    choices=["random", "path", "star", "caterpillar"])
     p.add_argument("--mix", default="default",
                    choices=["default", "grow", "plain"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--repeats", type=_positive_int, default=3)
     p.add_argument("--flavor", default="iterated",
                    choices=list(SESSION_BENCH_FLAVORS),
                    help="synchronous flavours only: the bench replays "
@@ -158,8 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="overhead_n")
     p.add_argument("--overhead-steps", type=int, default=600,
                    dest="overhead_steps")
-    p.add_argument("--batch-size", type=int, default=64, dest="batch_size")
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--batch-size", type=_positive_int, default=64,
+                   dest="batch_size")
+    p.add_argument("--repeats", type=_positive_int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--policies", default="fifo,random,adversary",
                    help="grid: schedule policies for the event-driven "
@@ -181,11 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="catalogue scenario to stream (default: "
                         "mixed_flood)")
     p.add_argument("--seeds", default="0,1,2")
-    p.add_argument("--clients", type=int, default=4,
+    p.add_argument("--clients", type=_positive_int, default=4,
                    help="concurrent client threads per cell")
-    p.add_argument("--wave", type=int, default=10,
+    p.add_argument("--wave", type=_positive_int, default=10,
                    help="requests per client submission burst")
-    p.add_argument("--batch-size", type=int, default=8, dest="batch_size")
+    p.add_argument("--batch-size", type=_positive_int, default=8,
+                   dest="batch_size")
     p.add_argument("--queue-capacity", type=int, default=256,
                    dest="queue_capacity")
     p.add_argument("--policy", default="fifo",
@@ -218,25 +223,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", default="1,2,4,8",
                    help="comma-separated shard counts for the scaling "
                         "cells")
-    p.add_argument("--steps", type=int, default=2000,
+    p.add_argument("--steps", type=_positive_int, default=2000,
                    help="requests per scaling cell")
-    p.add_argument("--clients", type=int, default=256,
+    p.add_argument("--clients", type=_positive_int, default=256,
                    help="distinct sticky client origins per cell")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--scale", type=float, default=0.25,
                    help="catalogue scale for the equivalence cell")
-    p.add_argument("--out", **common_out)
-
-    p = sub.add_parser("kernel",
-                       help="distributed filler lookup: kernel level "
-                            "index vs legacy board scan "
-                            "(equivalence-checked)")
-    p.add_argument("--scenario", default="deep_burst",
-                   help="catalogue scenario to replay (default: "
-                        "deep_burst)")
-    p.add_argument("--seeds", default="0,1")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--stagger", type=float, default=0.25)
     p.add_argument("--out", **common_out)
 
     p = sub.add_parser("profile",

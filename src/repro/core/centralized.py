@@ -17,8 +17,8 @@ start at the root; requests trigger ``GrantOrReject``:
    recurses with the other half; the final level-0 package becomes the
    requester's static pool.
 
-The permit/package *mechanics* — the ledger, the level-indexed filler
-lookup, the ``Proc`` split schedule, the reject wave — live in the
+The permit/package *mechanics* — the ledger, the filler lookup, the
+``Proc`` split schedule, the reject wave — live in the
 shared :mod:`repro.core.kernel`; this class is the synchronous
 executor: it resolves each kernel plan step against the ancestry
 structure immediately and charges one package move per hop travelled.
@@ -108,7 +108,7 @@ class CentralizedController(TreeListener):
         # Request-engine fast path: claim the tree's per-node store
         # slots if nobody holds them (single claimant per tree; extra
         # concurrent controllers transparently use dict lookups).
-        self._fast = bool(tree.skip_ancestry) and tree.store_slot_owner is None
+        self._fast = tree.store_slot_owner is None
         if self._fast:
             tree.store_slot_owner = self
         self.stores = StoreMap(slot_owner=self if self._fast else None)
@@ -218,12 +218,10 @@ class CentralizedController(TreeListener):
     def handle_batch(self, requests: Iterable[Request]) -> List[Outcome]:
         """Run ``GrantOrReject`` for a batch of requests.
 
-        Requests are served in order with *exactly* the per-request
-        outcomes and move-counter accounting of calling :meth:`handle`
-        on each (the equivalence is property-tested); the batch form
-        amortizes the skip-pointer ancestry repairs and the mobile-host
-        index across the whole batch, which is where the throughput
-        comes from on deep trees.
+        Serves the requests in order by calling :meth:`handle` on each,
+        so outcomes and move-counter accounting are exactly those of the
+        sequential calls; it is the protocol's batch entry point and
+        amortizes nothing of its own.
         """
         return [self.handle(request) for request in requests]
 
@@ -313,9 +311,9 @@ class CentralizedController(TreeListener):
         """The ancestor climb: first in-window package wins.
 
         With the fast path claimed, each hop is two slot loads; without
-        it, a dict probe per hop.  The per-store window check is the
-        kernel's level-windowed lookup (one dict probe), equivalent to
-        scanning every parked package.
+        it, a dict probe per hop.  The per-store check is the kernel's
+        lookup: the distance names the one level that can fill, and the
+        first parked package of that level wins.
         """
         params = self.params
         trace = self._trace

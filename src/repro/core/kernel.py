@@ -16,14 +16,13 @@ protocol.  Permits enter circulation only through
 :meth:`PermitLedger.create_package` and leave it only through
 :meth:`PermitLedger.grant`, so conservation is a ledger property.
 
-**Indexed package-store operations** — parked mobile packages are
-level-indexed per store.  The filler windows of Section 3.1 are
-*disjoint in the level*: for any hop distance ``d`` exactly one level
-can fill (level 0 for ``d <= 2 psi``, else the unique ``j >= 1`` with
-``2^j psi < d <= 2^(j+1) psi``), so :func:`take_filler` is one window
-computation plus one dict probe instead of a window test per parked
-package (:func:`scan_filler` keeps the legacy linear scan for the
-before/after benchmark; the two are property-tested equivalent).
+**Package-store operations** — :func:`park`, :func:`take_filler` and
+friends edit a store's short list of parked mobile packages.  The
+filler windows of Section 3.1 are *disjoint in the level*: for any hop
+distance ``d`` exactly one level can fill (level 0 for ``d <= 2 psi``,
+else the unique ``j >= 1`` with ``2^j psi < d <= 2^(j+1) psi``), so
+:func:`take_filler` computes that level once and takes the first
+parked package of it.
 
 **Plan objects** — the three macro-moves are planned here and executed
 by the caller: :func:`plan_distribution` (``Proc``'s full split
@@ -39,7 +38,7 @@ trace — the Lemma 4.5 reduction as an executable check (see
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import ControllerError
 from repro.core.packages import MobilePackage, NodeStore
@@ -158,7 +157,7 @@ class PermitLedger:
 
 
 # ----------------------------------------------------------------------
-# Level-windowed (indexed) package-store operations.
+# Package-store operations.
 # ----------------------------------------------------------------------
 def filler_level(params: ControllerParams, dist: int) -> int:
     """The unique package level that can fill at hop distance ``dist``.
@@ -175,34 +174,16 @@ def filler_level(params: ControllerParams, dist: int) -> int:
     return ((dist + psi - 1) // psi - 1).bit_length() - 1
 
 
-def _level_slots(store: NodeStore) -> Dict[int, List[MobilePackage]]:
-    """The store's level index, rebuilt lazily when out of sync.
-
-    Kernel mutators (:func:`park`, :func:`take_filler`,
-    :func:`take_package`) maintain the index incrementally.  Code that
-    mutates ``store.mobile`` directly is detected through the length
-    comparison below (appends/removals change it;
-    :meth:`NodeStore.merge_from` clears the index outright), which
-    triggers a rebuild.  A length-*preserving* in-place swap of
-    ``mobile`` entries must clear ``store._level_slots`` itself — the
-    supported mutation surface is the kernel functions.
-    """
-    slots = store._level_slots
-    if slots is None or sum(map(len, slots.values())) != len(store.mobile):
-        slots = {}
-        for package in store.mobile:
-            slots.setdefault(package.level, []).append(package)
-        store._level_slots = slots
-    return slots
-
-
 def peek_filler(store: NodeStore, dist: int,
                 params: ControllerParams) -> Optional[MobilePackage]:
     """The package :func:`take_filler` would take, without removal."""
     if not store.mobile:
         return None
-    candidates = _level_slots(store).get(filler_level(params, dist))
-    return candidates[0] if candidates else None
+    level = filler_level(params, dist)
+    for package in store.mobile:
+        if package.level == level:
+            return package
+    return None
 
 
 def take_filler(store: NodeStore, dist: int, params: ControllerParams,
@@ -211,11 +192,10 @@ def take_filler(store: NodeStore, dist: int, params: ControllerParams,
                 ) -> Optional[MobilePackage]:
     """Remove and return a filler package for distance ``dist``, if any.
 
-    Equivalent to scanning every parked package for a window match and
-    taking the earliest-parked one of the lowest matching level (the
-    historical semantics, kept verbatim in :func:`scan_filler`): the
-    windows admit exactly one level per distance, and within a level
-    the index is in parking order.
+    Equivalent to testing every parked package against its window and
+    taking the earliest-parked one of the lowest matching level: the
+    windows admit exactly one level per distance, and ``store.mobile``
+    is in parking order.
     """
     package = peek_filler(store, dist, params)
     if package is not None:
@@ -227,44 +207,17 @@ def take_package(store: NodeStore, package: MobilePackage,
                  node: Optional[object] = None,
                  dist: Optional[int] = None,
                  trace: Optional[KernelTrace] = None) -> None:
-    """Remove a specific parked package (chosen by an indexed search)."""
+    """Remove a specific parked package (chosen by a filler search)."""
     store.mobile.remove(package)
-    slots = store._level_slots
-    if slots is not None:
-        try:
-            slots[package.level].remove(package)
-        except (KeyError, ValueError):
-            # A stale index (external in-place mutation) may not carry
-            # the package; the next lookup's length check rebuilds it.
-            store._level_slots = None
     if trace is not None:
         trace.emit("take", _node_id(node), package.level, dist)
-
-
-def scan_filler(store: NodeStore, dist: int,
-                params: ControllerParams) -> Optional[MobilePackage]:
-    """The legacy linear board scan (no removal): first-parked package
-    of the lowest in-window level.
-
-    Kept as the reference the indexed lookup is property-tested
-    against, and as the ``--no-index`` mode of the ``kernel`` bench.
-    """
-    chosen: Optional[MobilePackage] = None
-    for package in store.mobile:
-        if params.in_filler_window(package.level, dist):
-            if chosen is None or package.level < chosen.level:
-                chosen = package
-    return chosen
 
 
 def park(store: NodeStore, package: MobilePackage,
          node: Optional[object] = None,
          trace: Optional[KernelTrace] = None) -> None:
-    """Park a mobile package at a node's store (indexed)."""
+    """Park a mobile package at a node's store."""
     store.mobile.append(package)
-    slots = store._level_slots
-    if slots is not None:
-        slots.setdefault(package.level, []).append(package)
     if trace is not None:
         trace.emit("park", _node_id(node), package.level, package.size)
 

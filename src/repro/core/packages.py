@@ -69,15 +69,6 @@ class NodeStore:
     # indexed filler scan refreshes it lazily when the generation moves.
     host_depth: int = -1
     host_depth_gen: int = -1
-    # Level index over ``mobile``, owned by ``repro.core.kernel``: the
-    # filler windows admit exactly one level per hop distance, so the
-    # kernel's windowed lookup is one dict probe.  ``None`` (or a stale
-    # package total) means "rebuild lazily": length-changing direct
-    # mutations of ``mobile`` are detected automatically, but a
-    # length-preserving in-place swap must set this back to ``None``
-    # (the supported mutation surface is the kernel functions).
-    _level_slots: Optional[Dict[int, List[MobilePackage]]] = field(
-        default=None, compare=False, repr=False)
 
     @property
     def is_empty(self) -> bool:
@@ -105,9 +96,7 @@ class NodeStore:
         self.static_permits += other.static_permits
         self.static_intervals.extend(other.static_intervals)
         self.has_reject = self.has_reject or other.has_reject
-        self._level_slots = None
         other.mobile = []
-        other._level_slots = None
         other.static_permits = 0
         other.static_intervals = []
 

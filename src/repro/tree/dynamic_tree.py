@@ -34,7 +34,7 @@ Maintenance under churn is lazy with subtree-local invalidation:
   writes, no table work), and stale tables are rebuilt on demand, only
   for nodes actually reached by later queries.
 
-The soundness invariant (checked by ``tests/tree/test_skip_ancestry``):
+The soundness invariant (property-tested against the parent walks):
 a fresh cache is a correct cache, because any splice on a node's root
 path marks exactly the subtree below the spliced edge — which contains
 the node — stale; by the same argument every entry of a fresh table
@@ -42,16 +42,16 @@ the node — stale; by the same argument every entry of a fresh table
 a stale table.
 
 The structure pays off in growth/query-heavy regimes (leaf churn and
-plain events never invalidate anything); under splice-heavy churn the
-invalidation/repair traffic can exceed what the naive walks cost, which
-is why ``skip_ancestry`` is a per-tree switch and the ``repro.bench``
-ancestry scenario measures both modes.
+plain events never invalidate anything).  Under splice-heavy churn the
+repair traffic can exceed what parent-pointer walks cost, so callers
+that expect such churn walk :mod:`repro.tree.paths` directly (the
+centralized controller's churn policy does); :mod:`repro.tree.paths`
+also serves as the oracle the tests check these tables against.
 """
 
 from typing import Iterator, List, Optional, Set
 
 from repro.errors import TopologyError
-from repro.tree import paths
 from repro.tree.node import TreeNode
 from repro.tree.ports import AdversarialPortAssigner, PortAssigner
 
@@ -97,11 +97,9 @@ class DynamicTree:
         benches to evaluate the ``sum_j log^2 n_j`` bound.
     """
 
-    def __init__(self, port_assigner: Optional[PortAssigner] = None,
-                 skip_ancestry: bool = True) -> None:
+    def __init__(self, port_assigner: Optional[PortAssigner] = None) -> None:
         self._port_assigner = port_assigner or AdversarialPortAssigner(seed=0)
         self._next_id = 0
-        self.skip_ancestry = skip_ancestry
         # Arbitration for the per-node store slots (see StoreMap): at
         # most one controller pins stores into TreeNode slots at a time;
         # later controllers on the same tree fall back to dict lookups.
@@ -162,11 +160,8 @@ class DynamicTree:
         """Hop distance from ``node`` to the root.
 
         O(log depth) amortized via the jump tables: climb the maximal
-        jump of each landing node, summing powers of two (O(depth)
-        parent walk when ``skip_ancestry`` is disabled).
+        jump of each landing node, summing powers of two.
         """
-        if not self.skip_ancestry:
-            return paths.depth(node)
         epoch = self._anc_epoch
         hops = 0
         current = node
@@ -190,8 +185,6 @@ class DynamicTree:
         """
         if hops < 0:
             raise TopologyError(f"negative hop count {hops}")
-        if not self.skip_ancestry:
-            return paths.ancestor_at(node, hops)
         epoch = self._anc_epoch
         current = node
         remaining = hops
@@ -216,11 +209,6 @@ class DynamicTree:
         :func:`repro.tree.paths.distance_to_ancestor`).  O(log depth)
         amortized: a depth difference plus one ``ancestor_at`` check.
         """
-        if not self.skip_ancestry:
-            try:
-                return paths.distance_to_ancestor(node, ancestor)
-            except ValueError:
-                return None
         dist = self.depth(node) - self.depth(ancestor)
         if dist < 0:
             return None
@@ -389,12 +377,6 @@ class DynamicTree:
         descendants that are never queried again.
         """
         self.anc_generation += 1
-        if not self.skip_ancestry:
-            # Tables are not in use, but they may hold caches from an
-            # earlier skip-enabled phase; a flipped-off tree must not
-            # resurrect them stale if the flag is flipped back on.
-            self._anc_epoch += 1
-            return
         budget = self._ANC_MARK_BUDGET
         stack = [top]
         while stack:

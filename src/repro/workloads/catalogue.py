@@ -179,16 +179,12 @@ class ScenarioSpec:
     generator: Callable[["ScenarioSpec", DynamicTree, random.Random],
                         List[Request]]
 
-    def build_tree(self, seed: int = 0,
-                   skip_ancestry: bool = True) -> DynamicTree:
+    def build_tree(self, seed: int = 0) -> DynamicTree:
         """The scenario's initial topology (deterministic per seed)."""
         builder = _BUILDERS[self.topology]
         if builder is build_random_tree:
-            tree = builder(self.n, seed=seed)
-        else:
-            tree = builder(self.n)
-        tree.skip_ancestry = skip_ancestry
-        return tree
+            return builder(self.n, seed=seed)
+        return builder(self.n)
 
     def stream(self, tree: DynamicTree, seed: int = 0) -> List[Request]:
         """The full pre-generated request stream (tree is not mutated)."""

@@ -7,17 +7,22 @@ the same stream through sequential ``handle`` calls.  Verified here by
 driving twin trees (identical construction => identical node ids) with
 a recorded stream, across every initial topology of
 ``workloads/scenarios.py``, every request mix, and all four controller
-flavours — plus the engine-off configuration, so the skip-pointer /
-slot fast paths are proven behaviour-preserving too.
+flavours — plus a twin whose controller lost the tree's store-slot
+arbitration, so the slot / skip-pointer fast paths are proven
+behaviour-preserving against dict stores and parent-pointer walks.
 """
 
 import random
+from unittest import mock
 
 import pytest
 
 from repro.core.adaptive import AdaptiveController
 from repro.core.centralized import CentralizedController
 from repro.core.iterated import IteratedController
+from repro.core.kernel import KernelTrace
+from repro.core.packages import NodeStore
+from repro.core.requests import RequestKind
 from repro.core.terminating import TerminatingController
 from repro.workloads import (
     NodePicker,
@@ -41,11 +46,18 @@ TOPOLOGIES = {
 
 
 def drive_twins(make_controller, build, n, steps, batch_size, mix, seed,
-                skip_b=True):
-    """Run a stream sequentially on tree A, batched (or re-configured)
-    on twin tree B; return both (controller, outcomes, tree) triples."""
+                slotless_b=False):
+    """Run a stream sequentially on tree A, batched on twin tree B;
+    return both (controller, outcomes, tree) triples.
+
+    With ``slotless_b`` B's store slots are claimed before its
+    controller is built, so B runs what a controller that loses slot
+    arbitration runs: dict stores, the filler climb and parent-pointer
+    walks.
+    """
     tree_a, tree_b = build(n), build(n)
-    tree_b.skip_ancestry = skip_b
+    if slotless_b:
+        tree_b.store_slot_owner = object()
     ctrl_a, submit_a = make_controller(tree_a)
     ctrl_b, _ = make_controller(tree_b)
 
@@ -122,15 +134,45 @@ def test_terminating_batch_equals_sequential():
 
 
 def test_engine_off_matches_engine_on():
-    """skip_ancestry=False must reproduce the engine's outcomes and
-    counters exactly (the fast paths are pure optimizations)."""
+    """A slotless twin (dict stores, the climb, parent walks) must
+    reproduce the slot holder's outcomes and counters exactly — the
+    fast paths are pure optimizations.  The tight-psi runs park, merge
+    on deletion and take packages, and must trace identically."""
     def make(tree):
         ctrl = IteratedController(tree, m=800, w=50, u=800)
         return ctrl, ctrl.handle
     a, b = drive_twins(make, TOPOLOGIES["path"], n=250, steps=500,
                        batch_size=32, mix=default_mix(), seed=13,
-                       skip_b=False)
+                       slotless_b=True)
+    assert a[0]._inner._fast and not b[0]._inner._fast
     assert_equivalent(a, b)
+
+    # Tight psi on a deep path (as in the kernel-equivalence deep-path
+    # test): under churn the slot holder climbs over slots; on PLAIN
+    # traffic it warms its tables and scans the mobile-host index.
+    real_merge = NodeStore.merge_from
+    for mix in (default_mix(), {RequestKind.PLAIN: 1.0}):
+        traces, merged = {}, []
+
+        def make_traced(tree):
+            trace = traces[tree] = KernelTrace()
+            ctrl = CentralizedController(tree, m=3000, w=1500, u=800,
+                                         kernel_trace=trace)
+            return ctrl, ctrl.handle
+
+        def merge_from(store, other):
+            merged.extend(other.mobile)
+            real_merge(store, other)
+        with mock.patch.object(NodeStore, "merge_from", merge_from):
+            a, b = drive_twins(make_traced, TOPOLOGIES["path"], n=400,
+                               steps=300, batch_size=16, mix=mix, seed=2,
+                               slotless_b=True)
+        assert_equivalent(a, b)
+        trace_a, trace_b = traces[a[2]], traces[b[2]]
+        assert sum(1 for event in trace_a if event[0] == "take") > 0
+        assert trace_a.events == trace_b.events
+        if RequestKind.REMOVE_LEAF in mix:
+            assert merged, "no parked package was merged on deletion"
 
 
 def test_exhaustion_and_reject_wave_through_batches():

@@ -9,6 +9,7 @@ from repro.core.packages import MobilePackage, NodeStore
 from repro.core.params import ControllerParams
 from repro.errors import ControllerError
 from repro.workloads import build_random_tree
+from tests.core.oracle import scan_filler
 
 PARAM_GRID = [
     ControllerParams(m=400, w=100, u=200),
@@ -19,12 +20,12 @@ PARAM_GRID = [
 
 
 # ----------------------------------------------------------------------
-# The level-window partition behind the indexed lookup.
+# The level-window partition behind the filler lookup.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("params", PARAM_GRID)
 def test_filler_windows_admit_exactly_one_level_per_distance(params):
     """For every hop distance exactly one level passes the Section 3.1
-    window — the fact that turns the board scan into one dict probe.
+    window — the fact that lets the lookup compute the one level.
 
     Checked densely near the small windows and at every window boundary
     (plus or minus one) across all levels.
@@ -43,7 +44,7 @@ def test_filler_windows_admit_exactly_one_level_per_distance(params):
 @pytest.mark.parametrize("params", PARAM_GRID)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_indexed_lookup_equals_linear_scan(params, seed):
-    """peek/take_filler pick exactly the package the legacy linear scan
+    """peek/take_filler pick exactly the package the board-scan oracle
     picks (first-parked of the lowest in-window level), on randomly
     parked stores and random query distances."""
     rng = random.Random(seed)
@@ -54,7 +55,7 @@ def test_indexed_lookup_equals_linear_scan(params, seed):
                                          size=params.mobile_size(level)))
     for _ in range(300):
         dist = rng.randrange(4 * (1 << params.max_level) * params.psi)
-        expected = kernel.scan_filler(store, dist, params)
+        expected = scan_filler(store, dist, params)
         assert kernel.peek_filler(store, dist, params) is expected
         if expected is not None and rng.random() < 0.3:
             taken = kernel.take_filler(store, dist, params)

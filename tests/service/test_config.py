@@ -68,6 +68,6 @@ def test_with_window_copies():
 def test_snapshot_is_json_serializable():
     config = SessionConfig.of(
         "distributed", m=10, w=1, u=64, faults="stall=0.1", seed=3,
-        options={"indexed_stores": False})
+        options={"track_intervals": True})
     document = json.dumps(config.snapshot())
-    assert "indexed_stores" in document and '"seed": 3' in document
+    assert "track_intervals" in document and '"seed": 3' in document

@@ -9,7 +9,6 @@ import pytest
 
 from repro.bench import (
     SCENARIOS,
-    run_ancestry,
     run_batch,
     run_distributed_batch,
     run_scenario_bench,
@@ -17,21 +16,11 @@ from repro.bench import (
 
 
 def test_registry_names():
-    assert set(SCENARIOS) == {"ancestry", "move_complexity", "batch",
+    assert set(SCENARIOS) == {"move_complexity", "batch",
                               "scenario", "scenario_grid",
-                              "distributed_batch", "kernel", "session",
+                              "distributed_batch", "session",
                               "apps", "gateway", "profile", "memory",
                               "fleet"}
-
-
-def test_ancestry_small_sweep_is_exact_and_json():
-    result = run_ancestry(sizes=[80, 160], repeats=1)
-    json.dumps(result)  # serializable
-    assert [row["n"] for row in result["rows"]] == [80, 160]
-    for row in result["rows"]:
-        assert row["granted"] == row["steps"]
-        assert row["engine_ms"] > 0 and row["legacy_ms"] > 0
-    assert result["deep_path_speedup"] == result["rows"][-1]["speedup"]
 
 
 def test_batch_scenario_checks_equivalence():
@@ -178,7 +167,8 @@ def test_cli_list_and_run(tmp_path):
     env_cmd = [sys.executable, "-m", "repro.bench"]
     listing = subprocess.run(env_cmd + ["list"], capture_output=True,
                              text=True, check=True, env=env)
-    assert "ancestry" in listing.stdout
+    listed = {line.split()[0] for line in listing.stdout.splitlines()}
+    assert listed == set(SCENARIOS)
     out = tmp_path / "bench.json"
     run = subprocess.run(
         env_cmd + ["scenario", "--n", "60", "--steps", "120",
@@ -188,3 +178,26 @@ def test_cli_list_and_run(tmp_path):
     document = json.loads(out.read_text())
     assert document["scenario"] == "scenario"
     assert json.loads(run.stdout) == document
+
+
+@pytest.mark.parametrize("argv", [
+    ["batch", "--batch-size", "0"],
+    ["batch", "--batch-size", "-1"],
+    ["batch", "--n", "0"],
+    ["scenario", "--batch-size", "0"],
+    ["scenario", "--steps", "-5"],
+    ["session", "--repeats", "0"],
+    ["gateway", "--clients", "0"],
+    ["gateway", "--wave", "-2"],
+    ["fleet", "--steps", "0"],
+])
+def test_count_flags_reject_non_positive_values(argv, capsys):
+    """A zero or negative count is a usage error (exit 2, the flag
+    named on stderr), not a crash inside the run."""
+    from repro.bench.__main__ import main
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert argv[1] in captured.err
+    assert captured.out == ""

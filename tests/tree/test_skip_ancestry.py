@@ -96,21 +96,6 @@ def test_depth_beyond_recursion_limit():
     assert tree.depth(chain[1]) == 2
 
 
-def test_disabled_mode_matches_naive():
-    rng = random.Random(42)
-    tree = DynamicTree(skip_ancestry=False)
-    nodes = [tree.root]
-    for _ in range(300):
-        new = churn_step(tree, rng, nodes)
-        if new is not None:
-            nodes.append(new)
-    alive = [n for n in nodes if n.alive]
-    for node in alive:
-        assert tree.depth(node) == paths.depth(node)
-        depth = tree.depth(node)
-        assert tree.ancestor_at(node, depth) is tree.root
-
-
 def test_small_and_large_subtree_invalidation_paths():
     """Both invalidation strategies (budgeted walk and global epoch
     bump) must leave the structure exact."""
@@ -144,22 +129,3 @@ def test_mark_budget_boundary_is_exact():
         assert tree.depth(leaves[0]) == 3
         assert tree.ancestor_at(leaves[0], 2) is spliced
         tree.validate()
-
-
-def test_toggle_off_splice_toggle_on_stays_exact():
-    """Splices performed while skip_ancestry is off must still
-    invalidate cached tables, so re-enabling the switch cannot
-    resurrect stale answers."""
-    tree = DynamicTree()
-    node = tree.root
-    chain = [node]
-    for _ in range(20):
-        node = tree.add_leaf(node)
-        chain.append(node)
-    assert tree.depth(node) == 20  # builds tables
-    tree.skip_ancestry = False
-    tree.add_internal(tree.root, chain[1])
-    tree.skip_ancestry = True
-    assert tree.depth(node) == 21
-    assert tree.ancestor_at(node, 21) is tree.root
-    tree.validate()

@@ -14,7 +14,8 @@ the session layer:
   synchronously (flavour ``terminating``) or event-driven (flavour
   ``distributed`` with ``terminate_on_exhaustion``, under any schedule
   policy, delay model, and fault plan);
-* the public surface mirrors the session's: non-blocking
+* the public surface is the session's, booked in the shared
+  :class:`~repro.service.ledger.TicketLedger`: non-blocking
   :meth:`submit` returning a :class:`~repro.service.envelopes.Ticket`,
   batched :meth:`submit_many`, synchronous :meth:`serve`, and a
   streaming :meth:`drain` that yields
@@ -46,7 +47,6 @@ from typing import (
     Deque,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Tuple,
@@ -68,17 +68,15 @@ from repro.service.envelopes import (
     build_records,
     verdict_of,
 )
+from repro.service.ledger import TicketLedger
 from repro.service.session import ControllerSession
 from repro.tree.dynamic_tree import DynamicTree
 
 #: One iteration's controller contract: (m, w, u, extra options).
 IterationContract = Tuple[int, int, int, Dict[str, Any]]
 
-#: What the app-layer drain stream yields.
-AppRecord = Union[OutcomeRecord, IterationRecord]
 
-
-class AppSession:
+class AppSession(TicketLedger):
     """Base class for the Section 5 applications (see module docstring).
 
     Parameters
@@ -100,6 +98,7 @@ class AppSession:
             raise ControllerError(
                 f"spec names app {spec.app!r}, not {self.name!r}; "
                 "construct apps through repro.apps.make_app")
+        super().__init__(spec.max_in_flight, "app session")
         self.spec = spec
         self.tree = tree if tree is not None else DynamicTree()
         #: App-layer cost accounting (broadcasts, relabels, parent
@@ -124,12 +123,7 @@ class AppSession:
         #: :attr:`fault_stats` for the full-run view).
         self._banked_fault_stats: Dict[str, int] = {}
         self.session: Optional[ControllerSession] = None
-        self._next_envelope = 0
-        self._clock = 0
         self._pending: Deque[Tuple[RequestEnvelope, Ticket]] = deque()
-        self._ready: Deque[Tuple[AppRecord, Optional[Ticket]]] = deque()
-        self._closed = False
-        self.verdicts: Dict[str, int] = {v.value: 0 for v in SessionVerdict}
         self._sync = not spec.event_driven
         self._fast_handle: Callable[[Request], Any]
         self._start_iteration()
@@ -169,9 +163,9 @@ class AppSession:
         self._fast_handle = self.session.controller.handle
         self._on_iteration_start(n_i)
         self._clock += 1
-        self._ready.append((IterationRecord(
+        self._enqueue(IterationRecord(
             index=self.iterations_run, size=n_i, m=m, w=w, u=u,
-            tick=float(self._clock)), None))
+            tick=float(self._clock)), None)
 
     def _roll_iteration(self) -> None:
         session = self.session
@@ -220,10 +214,6 @@ class AppSession:
                 totals[key] = totals.get(key, 0) + value
         return totals
 
-    def tally(self) -> Dict[str, int]:
-        """Verdict counts over every settled app record."""
-        return dict(self.verdicts)
-
     def introspect(self) -> ControllerView:
         """The live iteration's controller view (protocol delegation)."""
         assert self.session is not None
@@ -259,14 +249,11 @@ class AppSession:
         immediately as ``BACKPRESSURE`` and the engine never sees the
         request.
         """
-        if self._closed:
-            raise ControllerError("app session is closed")
-        envelope, ticket = self._make_ticket(request)
-        if len(self._pending) >= self.spec.max_in_flight:
-            self._settle(envelope, ticket, None, SessionVerdict.BACKPRESSURE)
-            return ticket
+        return self._book(request, None)
+
+    def _dispatch(self, envelope: RequestEnvelope, ticket: Ticket,
+                  route: None) -> None:
         self._pending.append((envelope, ticket))
-        return ticket
 
     def submit_many(self, requests: Iterable[Request]) -> List[Ticket]:
         """Admit a batch of requests (one ticket each)."""
@@ -378,29 +365,9 @@ class AppSession:
             self.verdicts[status.value] += value
         return records
 
-    def _make_ticket(self, request: Request
-                     ) -> Tuple[RequestEnvelope, Ticket]:
-        envelope = RequestEnvelope(envelope_id=self._next_envelope,
-                                   request=request,
-                                   submit_tick=float(self._clock))
-        self._next_envelope += 1
-        self._clock += 1
-        return envelope, Ticket(envelope, pump=self._pump)
-
     # ------------------------------------------------------------------
-    # Settlement.
+    # Pumping (settlement and delivery are the ticket ledger's).
     # ------------------------------------------------------------------
-    def _settle(self, envelope: RequestEnvelope, ticket: Ticket,
-                outcome: Optional[Outcome],
-                verdict: SessionVerdict) -> None:
-        self._clock += 1
-        record = OutcomeRecord((envelope.request, envelope.envelope_id,
-                                envelope.submit_tick, outcome,
-                                float(self._clock), None))
-        self.verdicts[verdict.value] += 1
-        ticket._settle(record)
-        self._ready.append((record, ticket))
-
     def _pump(self) -> bool:
         """One round of progress: push the queued requests through the
         live iteration, roll on PENDING, requeue the survivors.
@@ -410,49 +377,49 @@ class AppSession:
         grant nothing cannot make progress; see
         :meth:`_require_progress`), so pumping terminates.
         """
-        if self._closed:
-            raise ControllerError("app session is closed")
-        if not self._pending:
-            return False
-        # Never outgrow the inner session's admission window (the app
-        # enforces its own window; the engine session must not answer
-        # backpressure): oversized queues drain in window-sized rounds.
-        assert self.session is not None
-        window = self.session.config.max_in_flight
-        if len(self._pending) > window:
-            batch = [self._pending.popleft() for _ in range(window)]
-        else:
-            batch = list(self._pending)
-            self._pending.clear()
-        by_id = {envelope.request.request_id: (envelope, ticket)
-                 for envelope, ticket in batch}
-        session = self.session
-        assert session is not None
-        session.submit_many([envelope.request for envelope, _ in batch])
-        still_pending: List[Tuple[RequestEnvelope, Ticket]] = []
-        settled = 0
-        for record in session.drain():
-            outcome = record.outcome
-            assert outcome is not None  # inner window is wide open
-            pair = by_id.pop(outcome.request.request_id, None)
-            if pair is None:
-                raise ProtocolError(
-                    "engine settled a request the app never queued")
-            if outcome.status is OutcomeStatus.PENDING:
-                still_pending.append(pair)
-                continue
-            self._after_outcome(outcome)
-            self._settle(pair[0], pair[1], outcome, verdict_of(outcome))
-            settled += 1
-        if still_pending:
-            granted_now = self._live_granted()
-            self._roll_iteration()
-            # Resubmissions go to the *front*: they were admitted
-            # before anything still sitting in the queue.
-            self._pending.extendleft(reversed(still_pending))
-            if settled == 0 and granted_now == 0:
-                self._require_progress()
-        return True
+        with self._lock:
+            self._check_open()
+            if not self._pending:
+                return False
+            # Never outgrow the inner session's admission window (the app
+            # enforces its own window; the engine session must not answer
+            # backpressure): oversized queues drain in window-sized rounds.
+            assert self.session is not None
+            window = self.session.config.max_in_flight
+            if len(self._pending) > window:
+                batch = [self._pending.popleft() for _ in range(window)]
+            else:
+                batch = list(self._pending)
+                self._pending.clear()
+            by_id = {envelope.request.request_id: (envelope, ticket)
+                     for envelope, ticket in batch}
+            session = self.session
+            assert session is not None
+            session.submit_many([envelope.request for envelope, _ in batch])
+            still_pending: List[Tuple[RequestEnvelope, Ticket]] = []
+            settled = 0
+            for record in session.drain():
+                outcome = record.outcome
+                assert outcome is not None  # inner window is wide open
+                pair = by_id.pop(outcome.request.request_id, None)
+                if pair is None:
+                    raise ProtocolError(
+                        "engine settled a request the app never queued")
+                if outcome.status is OutcomeStatus.PENDING:
+                    still_pending.append(pair)
+                    continue
+                self._after_outcome(outcome)
+                self._settle(pair[1], pair[0], outcome, verdict_of(outcome))
+                settled += 1
+            if still_pending:
+                granted_now = self._live_granted()
+                self._roll_iteration()
+                # Resubmissions go to the *front*: they were admitted
+                # before anything still sitting in the queue.
+                self._pending.extendleft(reversed(still_pending))
+                if settled == 0 and granted_now == 0:
+                    self._require_progress()
+            return True
 
     def _require_progress(self) -> None:
         """A whole iteration settled nothing and granted nothing: the
@@ -463,31 +430,14 @@ class AppSession:
             "closed without settling or granting anything; the "
             "iteration contract cannot make progress")
 
-    def drain(self) -> Iterator[AppRecord]:
-        """Pump the engine, yielding outcome records in settlement
-        order interleaved with :class:`IterationRecord` boundary
-        events (in stream position: a boundary precedes every record
-        settled by the iteration it opens; the ``index=1`` record is
-        emitted at construction and leads the first drain).
-
-        Delivery of outcome records is exactly-once across
-        ``Ticket.result()`` and the drain stream, exactly like
-        :meth:`ControllerSession.drain`; boundary events are yielded
-        once, to whichever drain reaches them first.
-        """
-        while True:
-            while self._ready:
-                record, ticket = self._ready.popleft()
-                if ticket is not None and ticket.claimed:
-                    continue
-                yield record
-            if not self._pending:
-                return
-            self._pump()
-
-    def settle_all(self) -> List[AppRecord]:
-        """Drain to quiescence; the full record-plus-boundary stream."""
-        return list(self.drain())
+    # The stack benchmark's tracer patches ``drain`` in the class's
+    # own namespace, so it is bound here rather than inherited.  The
+    # stream interleaves outcome records with :class:`IterationRecord`
+    # boundary events (in stream position: a boundary precedes every
+    # record settled by the iteration it opens; the ``index=1`` record
+    # is emitted at construction and leads the first drain); boundaries
+    # are yielded once, to whichever drain reaches them first.
+    drain = TicketLedger.drain
 
     def outcomes(self) -> List[OutcomeRecord]:
         """``settle_all()`` filtered to outcome records only."""
@@ -497,28 +447,19 @@ class AppSession:
     # ------------------------------------------------------------------
     # Lifecycle.
     # ------------------------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def close(self) -> None:
         """Detach the live engine and become inert.  Idempotent; queued
         requests are abandoned (their tickets never settle), so callers
         normally drain first."""
-        if self._closed:
-            return
-        self._closed = True
-        if self.session is not None:
-            self.session.close()
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            if self.session is not None:
+                self.session.close()
 
     def detach(self) -> None:
         """Alias of :meth:`close` (the legacy app vocabulary)."""
-        self.close()
-
-    def __enter__(self) -> "AppSession":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
         self.close()
 
     def __repr__(self) -> str:

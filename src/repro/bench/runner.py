@@ -24,9 +24,10 @@ import random
 import threading
 import time
 import zlib
-from typing import Any, Dict, List, Optional
+from collections import Counter
+from typing import Any, Dict, Iterable, List, NoReturn, Optional
 
-from repro.core.requests import Request, RequestKind
+from repro.core.requests import OutcomeStatus, Request, RequestKind
 from repro.distributed.faults import parse_fault_spec
 from repro.errors import ConfigError, InvariantViolation, ProtocolError
 from repro.metrics.fitting import log_log_slope, observation_3_4_bound
@@ -97,6 +98,25 @@ def _session(kind: str, tree, m: int, w: int, u: int, *,
 # ----------------------------------------------------------------------
 # move_complexity — the bench_e02 sweep as a CLI one-liner.
 # ----------------------------------------------------------------------
+def _raise_with(document: Dict, message: str) -> NoReturn:
+    """Raise ``InvariantViolation(message)`` carrying the JSON document:
+    the evidence matters most on failure, and the CLI still honours
+    ``--out`` before re-raising."""
+    error = InvariantViolation(message)
+    error.document = document
+    raise error
+
+
+def _checked(document: Dict, report: InvariantReport, what: str) -> Dict:
+    """``document``, unless ``report`` found violations in ``what``."""
+    if not report.passed:
+        first = report.violations[0]
+        _raise_with(document, f"invariant violations in {what} "
+                    f"({len(report.violations)} total); first: "
+                    f"[{first.invariant}] {first.message}")
+    return document
+
+
 def run_move_complexity(sizes: Optional[List[int]] = None,
                         seed: int = 0) -> Dict:
     """Observation 3.4 on deep paths: moves vs ``O(U log^2 U log(M/W))``.
@@ -437,18 +457,7 @@ def run_scenario_grid(name: str = "all",
             "wall_s": round(wall_s, 3),
         },
     }
-    if not grid_report.passed:
-        first = grid_report.violations[0]
-        error = InvariantViolation(
-            f"invariant violations in scenario grid "
-            f"({len(grid_report.violations)} total); first: "
-            f"[{first.invariant}] {first.message}"
-        )
-        # The per-cell evidence matters most on failure: attach the full
-        # document so the CLI can still honour --out before re-raising.
-        error.document = document
-        raise error
-    return document
+    return _checked(document, grid_report, "scenario grid")
 
 
 def _run_core_cell(spec, seed: int, engine: str, stream_specs,
@@ -733,13 +742,10 @@ def run_memory(sizes: Optional[List[int]] = None,
         "ratio_growth_ok": growth_ok,
     }
     if not document["within_bound"] or not growth_ok:
-        error = InvariantViolation(
-            "Claim 4.8 memory audit failed: "
-            + ("node state exceeded the bound"
-               if not document["within_bound"]
-               else "worst ratio grows with n"))
-        error.document = document
-        raise error
+        _raise_with(document, "Claim 4.8 memory audit failed: "
+                    + ("node state exceeded the bound"
+                       if not document["within_bound"]
+                       else "worst ratio grows with n"))
     return document
 
 
@@ -920,11 +926,10 @@ def run_session_overhead(n: int = 600, steps: int = 2000,
     }
 
 
-def _tally_statuses(statuses: List[str]) -> Dict[str, int]:
-    tally = {"granted": 0, "rejected": 0, "cancelled": 0, "pending": 0}
-    for status in statuses:
-        tally[status] += 1
-    return tally
+def _tally_statuses(statuses: Iterable[str]) -> Dict[str, int]:
+    """Outcome-status counts, every status keyed (zeros included)."""
+    counts = Counter(statuses)
+    return {status.value: counts[status.value] for status in OutcomeStatus}
 
 
 # ----------------------------------------------------------------------
@@ -1080,7 +1085,7 @@ def _drive_app_overhead(name: str, n: int, steps: int, batch_size: int,
         "app_batch_ms": round(timings["batch"] * 1000, 3),
         "overhead_batch_pct": overhead_batch,
         "equivalent": True,
-        **_tally_statuses(list(evidence["seq"][0])),
+        **_tally_statuses(evidence["seq"][0]),
     }
 
 
@@ -1292,15 +1297,7 @@ def run_apps(apps: str = "all", sizes: Optional[List[int]] = None,
             "passed": grid_report.passed,
         },
     }
-    if not grid_report.passed:
-        first = grid_report.violations[0]
-        error = InvariantViolation(
-            f"invariant violations in the apps grid "
-            f"({len(grid_report.violations)} total); first: "
-            f"[{first.invariant}] {first.message}")
-        error.document = document
-        raise error
-    return document
+    return _checked(document, grid_report, "the apps grid")
 
 
 # ----------------------------------------------------------------------
@@ -1481,15 +1478,7 @@ def run_gateway(scenario: str = "mixed_flood", seeds: str = "0,1,2",
         "violations": len(grid_report.violations),
         "passed": grid_report.passed,
     }
-    if not grid_report.passed:
-        first = grid_report.violations[0]
-        error = InvariantViolation(
-            f"invariant violations in the gateway grid "
-            f"({len(grid_report.violations)} total); first: "
-            f"[{first.invariant}] {first.message}")
-        error.document = document
-        raise error
-    return document
+    return _checked(document, grid_report, "the gateway grid")
 
 
 # ----------------------------------------------------------------------
@@ -1712,15 +1701,7 @@ def run_fleet(shards: str = "1,2,4,8", steps: int = 2000,
         "violations": len(grid_report.violations),
         "passed": grid_report.passed,
     }
-    if not grid_report.passed:
-        first = grid_report.violations[0]
-        error = InvariantViolation(
-            f"invariant violations in the fleet bench "
-            f"({len(grid_report.violations)} total); first: "
-            f"[{first.invariant}] {first.message}")
-        error.document = document
-        raise error
-    return document
+    return _checked(document, grid_report, "the fleet bench")
 
 
 SCENARIOS = {

@@ -40,7 +40,6 @@ from repro.metrics.counters import MessageCounters
 from repro.protocol import ControllerView
 from repro.sim.delays import DelayModel, UniformDelay
 from repro.sim.scheduler import Scheduler
-from repro.sim.tracing import Tracer
 from repro.tree.dynamic_tree import DynamicTree, TreeListener
 from repro.tree.node import TreeNode
 from repro.core import kernel
@@ -119,7 +118,6 @@ class DistributedController(TreeListener):
                  scheduler: Optional[Scheduler] = None,
                  delays: Optional[DelayModel] = None,
                  counters: Optional[MessageCounters] = None,
-                 tracer: Optional[Tracer] = None,
                  terminate_on_exhaustion: bool = False,
                  apply_topology: bool = True,
                  faults: Optional[FaultInjector] = None,
@@ -133,7 +131,6 @@ class DistributedController(TreeListener):
         self.scheduler = scheduler if scheduler is not None else Scheduler()
         self.delays = delays if delays is not None else UniformDelay(seed=0)
         self.counters = counters if counters is not None else MessageCounters()
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.faults = faults
         if faults is not None:
             faults.attach(self)
@@ -309,8 +306,6 @@ class DistributedController(TreeListener):
             return
         agent = Agent(request=request, origin=node, callback=callback)
         self.active_agents += 1
-        self.tracer.emit(self.scheduler.now, "agent_created",
-                         agent=agent.agent_id, node=node.node_id)
         board = self.boards.get(node)
         if board.store.has_reject:
             # Item 1b: created at a reject node.
@@ -345,9 +340,6 @@ class DistributedController(TreeListener):
                                      self.params, node=node,
                                      trace=self._trace)
         if package is not None:
-            self.tracer.emit(self.scheduler.now, "filler_found",
-                             agent=agent.agent_id, node=node.node_id,
-                             level=package.level, dist=agent.distance)
             self._begin_distribution(agent, package)
             return
 
@@ -396,8 +388,6 @@ class DistributedController(TreeListener):
         need = self.params.mobile_size(level)
         if self._ledger.covers(need):
             package = self._ledger.create_package(level, dist)
-            self.tracer.emit(self.scheduler.now, "root_created",
-                             agent=agent.agent_id, level=level, size=need)
             if self.permit_flow_observer is not None:
                 # Freshly created permits "enter" the root as well.
                 self.permit_flow_observer(self.tree.root, package.size)
@@ -409,7 +399,6 @@ class DistributedController(TreeListener):
                 self.terminated = True
                 # Termination broadcast + upcast (Observation 2.1).
                 self.counters.broadcast_messages += 2 * self.tree.size
-                self.tracer.emit(self.scheduler.now, "terminated")
             agent.final_outcome = Outcome(OutcomeStatus.PENDING,
                                           agent.request)
         else:
@@ -435,7 +424,6 @@ class DistributedController(TreeListener):
         self.counters.reject_messages += kernel.broadcast_reject(
             self.tree, lambda node: self.boards.get(node).store,
             trace=self._trace)
-        self.tracer.emit(self.scheduler.now, "reject_wave")
 
     # ------------------------------------------------------------------
     # Distribution (item 4, Proc) and granting.
@@ -479,9 +467,6 @@ class DistributedController(TreeListener):
             package.level = step.level
             package.size = step.size
             package.interval = right_interval
-            self.tracer.emit(self.scheduler.now, "split",
-                             agent=agent.agent_id, node=node.node_id,
-                             level=step.level)
         if agent.pos == 0:
             self._package_reaches_origin(agent)
         else:
@@ -518,8 +503,6 @@ class DistributedController(TreeListener):
             new_node = None
             if self._apply_topology and request.kind.is_topological:
                 new_node = perform_event(self.tree, request)
-            self.tracer.emit(self.scheduler.now, "granted",
-                             agent=agent.agent_id, node=origin.node_id)
             # Grants are delivered at grant time (the walk is cleanup).
             self._record(Outcome(OutcomeStatus.GRANTED, request,
                                  new_node=new_node, serial=serial),

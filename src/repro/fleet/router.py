@@ -4,7 +4,10 @@ A :class:`FleetRouter` runs one :class:`~repro.service.session.ControllerSession
 per shard — each on its own tree — and exposes the *same* typed-envelope
 surface as a single session (``submit`` / ``submit_many`` / ``drain`` /
 ``serve`` / ``serve_stream`` / ``tally`` / ``audit``), so the ingestion
-gateway sits in front of a fleet unchanged.
+gateway sits in front of a fleet unchanged.  Admission, settlement and
+exactly-once delivery are the shared
+:class:`~repro.service.ledger.TicketLedger`'s; the router adds routing
+and a pump that serves each pending request on its shard.
 
 **Placement.**  Requests route by *origin* (any hashable client key)
 over a consistent-hash ring of shard virtual nodes, or — when no origin
@@ -34,15 +37,14 @@ has granted its entire global budget — fleet-level waste is zero, well
 inside the ``W_total`` bound the auditor checks.
 """
 
-import threading
 from bisect import bisect_left
 from collections import deque
-from typing import (Any, Deque, Dict, Iterable, Iterator, List, Optional,
+from typing import (Any, Deque, Dict, Iterable, List, Optional,
                     Sequence, Tuple)
 from zlib import crc32
 
 from repro.core.requests import Outcome, OutcomeStatus, Request
-from repro.errors import ConfigError, ControllerError, FleetError, ProtocolError
+from repro.errors import ConfigError, ControllerError, FleetError
 from repro.fleet.config import FleetConfig, ShardSpec
 from repro.fleet.rebalancer import REBALANCERS, TransferLedger
 from repro.metrics.counters import MoveCounters
@@ -50,7 +52,8 @@ from repro.metrics.invariants import InvariantReport, audit_fleet
 from repro.protocol import BudgetSplit
 from repro.service.config import ControllerSpec, SessionConfig
 from repro.service.envelopes import (OutcomeRecord, RequestEnvelope,
-                                     SessionVerdict, Ticket, verdict_of)
+                                     Ticket, verdict_of)
+from repro.service.ledger import TicketLedger
 from repro.service.session import ControllerSession
 from repro.tree.dynamic_tree import DynamicTree, TreeListener
 from repro.tree.node import TreeNode
@@ -232,19 +235,21 @@ class Shard:
         self.bank()
 
 
-class FleetRouter:
+class FleetRouter(TicketLedger):
     """Route requests over the shards; rebalance budget between them.
 
-    Mirrors the :class:`~repro.service.session.ControllerSession`
+    Offers the :class:`~repro.service.session.ControllerSession`
     surface (it satisfies :class:`repro.gateway.gateway.IngestionBackend`),
     with one addition: ``submit``/``serve`` accept an ``origin=`` —
     any hashable client key — that routes via the consistent-hash ring
     instead of node ownership.  Thread-safe the same way a session is:
-    one reentrant lock serializes admission, serving, and settlement.
+    the ledger's reentrant lock serializes admission, serving, and
+    settlement.
     """
 
     def __init__(self, config: FleetConfig,
                  trees: Optional[Sequence[DynamicTree]] = None) -> None:
+        super().__init__(config.max_in_flight, "fleet")
         self.config = config
         if trees is not None and len(trees) != len(config.shards):
             raise ConfigError(
@@ -282,16 +287,8 @@ class FleetRouter:
             shard.tree.add_listener(listener)
             self._listeners.append(listener)
 
-        # Envelope machinery (mirrors the synchronous session).
-        self._next_envelope = 0
-        self._clock = 0
-        self._lock = threading.RLock()
         self._pending: Deque[Tuple[RequestEnvelope, Ticket, int]] = deque()
-        self._ready: Deque[Tuple[OutcomeRecord, Optional[Ticket]]] = deque()
-        self._compact_limit = 64
-        self._closed = False
         self._reject_wave = False
-        self.verdicts: Dict[str, int] = {v.value: 0 for v in SessionVerdict}
 
     # ------------------------------------------------------------------
     # Placement.
@@ -454,24 +451,10 @@ class FleetRouter:
     # Clock and introspection.
     # ------------------------------------------------------------------
     @property
-    def now(self) -> float:
-        """The fleet clock: a submit/settle operation counter."""
-        return float(self._clock)
-
-    @property
     def in_flight(self) -> int:
         # Every shard flavour is synchronous, so admitted-but-unsettled
         # is exactly the pending queue (no event-driven callback leg).
         return len(self._pending)
-
-    @property
-    def backpressured(self) -> int:
-        return self.verdicts[SessionVerdict.BACKPRESSURE.value]
-
-    @property
-    def undelivered(self) -> int:
-        return sum(1 for _record, ticket in self._ready
-                   if ticket is None or not ticket.claimed)
 
     @property
     def reject_wave(self) -> bool:
@@ -481,10 +464,6 @@ class FleetRouter:
     @property
     def granted_total(self) -> int:
         return sum(shard.granted for shard in self.shards)
-
-    def tally(self) -> Dict[str, int]:
-        """Verdict counts over every settled record."""
-        return dict(self.verdicts)
 
     def audit(self, report: Optional[InvariantReport] = None
               ) -> InvariantReport:
@@ -513,22 +492,11 @@ class FleetRouter:
         shard flavour is synchronous.  ``origin`` routes by placement
         instead of node ownership.
         """
-        with self._lock:
-            if self._closed:
-                raise ControllerError("fleet is closed")
-            index = self._route(request, origin)
-            tick = float(self._clock)
-            envelope = RequestEnvelope(envelope_id=self._next_envelope,
-                                       request=request, submit_tick=tick)
-            self._next_envelope += 1
-            self._clock += 1
-            ticket = Ticket(envelope, pump=self._pump)
-            if len(self._pending) >= self.config.max_in_flight:
-                self._settle(ticket, envelope, None,
-                             SessionVerdict.BACKPRESSURE)
-                return ticket
-            self._pending.append((envelope, ticket, index))
-            return ticket
+        return self._book(request, self._route(request, origin))
+
+    def _dispatch(self, envelope: RequestEnvelope, ticket: Ticket,
+                  index: int) -> None:
+        self._pending.append((envelope, ticket, index))
 
     def submit_many(self, requests: Iterable[Request],
                     stagger: Optional[float] = None,
@@ -566,36 +534,12 @@ class FleetRouter:
         return [self.serve(request, origin=origin) for request in requests]
 
     # ------------------------------------------------------------------
-    # Settlement (mirrors the synchronous session).
+    # Pumping (settlement and delivery are the ticket ledger's).
     # ------------------------------------------------------------------
-    def _settle(self, ticket: Ticket, envelope: RequestEnvelope,
-                outcome: Optional[Outcome],
-                verdict: SessionVerdict) -> None:
-        self._clock += 1
-        record = OutcomeRecord((envelope.request, envelope.envelope_id,
-                                envelope.submit_tick, outcome, self.now,
-                                None))
-        self.verdicts[verdict.value] += 1
-        ticket._settle(record)
-        ready = self._ready
-        while ready:
-            head_ticket = ready[0][1]
-            if head_ticket is None or not head_ticket.claimed:
-                break
-            ready.popleft()
-        ready.append((record, ticket))
-        if len(ready) >= self._compact_limit:
-            retained = [pair for pair in ready
-                        if pair[1] is None or not pair[1].claimed]
-            ready.clear()
-            ready.extend(retained)
-            self._compact_limit = max(64, 2 * len(retained))
-
     def _pump(self) -> bool:
         """Serve the whole pending queue; False when idle."""
         with self._lock:
-            if self._closed:
-                raise ControllerError("fleet is closed")
+            self._check_open()
             if not self._pending:
                 return False
             batch = list(self._pending)
@@ -605,39 +549,13 @@ class FleetRouter:
                 self._settle(ticket, envelope, outcome, verdict_of(outcome))
             return True
 
-    def drain(self) -> Iterator[OutcomeRecord]:
-        """Pump, yielding records in settlement order (exactly-once)."""
-        while True:
-            with self._lock:
-                record_ticket: Optional[
-                    Tuple[OutcomeRecord, Optional[Ticket]]] = None
-                while self._ready:
-                    head, ticket = self._ready.popleft()
-                    if ticket is not None and ticket.claimed:
-                        continue
-                    record_ticket = (head, ticket)
-                    break
-                if record_ticket is None:
-                    if self.in_flight == 0:
-                        return
-                    if not self._pump():
-                        raise ProtocolError(
-                            f"{self.in_flight} requests in flight but "
-                            "the fleet is idle")
-                    continue
-            yield record_ticket[0]
-
-    def settle_all(self) -> List[OutcomeRecord]:
-        """Drain to quiescence and return the settled records."""
-        return list(self.drain())
+    # The stack benchmark's tracer patches ``drain`` in the class's
+    # own namespace, so it is bound here rather than inherited.
+    drain = TicketLedger.drain
 
     # ------------------------------------------------------------------
     # Lifecycle.
     # ------------------------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def close(self) -> None:
         """Close every shard session and detach the ownership
         listeners.  Idempotent; in-flight requests are abandoned."""
@@ -649,12 +567,6 @@ class FleetRouter:
                 shard.tree.remove_listener(listener)
                 if shard.session is not None:
                     shard.session.close()
-
-    def __enter__(self) -> "FleetRouter":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
     def __repr__(self) -> str:
         return (f"FleetRouter(shards={len(self.shards)}, "

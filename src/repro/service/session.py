@@ -21,7 +21,10 @@ Admission control: at most ``config.max_in_flight`` requests may be in
 flight; beyond that, ``submit`` settles the ticket immediately with the
 ``BACKPRESSURE`` verdict without touching the controller — saturation
 is answered at the session boundary, never confused with the paper's
-permit *reject* (see :mod:`repro.service.envelopes`).
+permit *reject* (see :mod:`repro.service.envelopes`).  Admission,
+settlement, the ready queue and exactly-once delivery are the shared
+:class:`~repro.service.ledger.TicketLedger`'s; the session adds the
+engine wiring and its pump.
 
 The session implements the controller protocol's ``introspect()`` by
 delegation, so :func:`repro.metrics.invariants.audit_controller`
@@ -30,14 +33,12 @@ the shorthand).
 """
 
 import operator
-import threading
 from collections import Counter, deque
 from typing import (
     Any,
     Deque,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Tuple,
@@ -46,7 +47,7 @@ from typing import (
 from repro.core.kernel import KernelTrace
 from repro.core.requests import Outcome, Request
 from repro.distributed.faults import FaultInjector
-from repro.errors import ConfigError, ControllerError, ProtocolError
+from repro.errors import ConfigError, ControllerError
 from repro.metrics.invariants import InvariantReport, audit_controller
 from repro.protocol import ControllerProtocol, ControllerView
 from repro.registry import make_controller
@@ -58,12 +59,12 @@ from repro.service.config import (
 from repro.service.envelopes import (
     OutcomeRecord,
     RequestEnvelope,
-    SessionVerdict,
     Ticket,
     TraceHandle,
     build_records,
     verdict_of,
 )
+from repro.service.ledger import TicketLedger
 from repro.sim.delays import make_delay_model
 from repro.sim.scheduler import Scheduler
 from repro.tree.dynamic_tree import DynamicTree
@@ -76,7 +77,7 @@ _SESSION_OWNED_OPTIONS = ("scheduler", "delays", "faults", "kernel_trace")
 _status_of = operator.attrgetter("status")
 
 
-class ControllerSession:
+class ControllerSession(TicketLedger):
     """A live engine behind the session API (see module docstring).
 
     Parameters
@@ -90,6 +91,7 @@ class ControllerSession:
 
     def __init__(self, config: SessionConfig,
                  tree: Optional[DynamicTree] = None) -> None:
+        super().__init__(config.max_in_flight, "session")
         self.config = config
         self.tree = tree if tree is not None else DynamicTree()
         spec = config.controller
@@ -113,7 +115,6 @@ class ControllerSession:
                                                 seed=config.seed)
         if spec.flavor == "distributed" and not config.fault_plan.is_noop:
             kwargs["faults"] = FaultInjector(config.fault_plan)
-        self.trace: Optional[KernelTrace] = None
         if config.trace:
             self.trace = KernelTrace()
             kwargs["kernel_trace"] = self.trace
@@ -124,25 +125,8 @@ class ControllerSession:
         self._handle = self.controller.handle
         self._handle_batch = self.controller.handle_batch
 
-        self._next_envelope = 0
-        self._clock = 0
-        # One reentrant lock serializes admission, pumping, and the
-        # drain-side pops, so concurrent ``Ticket.result()`` /
-        # ``drain()`` callers (the gateway's client threads) can never
-        # double-handle a pending batch or double-settle a ticket.
-        # Reentrant because the event-driven pump fires settlement
-        # callbacks from inside ``scheduler.step()``.  Single-caller
-        # paths (``serve`` / ``serve_stream``) stay lock-free except
-        # where they delegate to ``_pump``.
-        self._lock = threading.RLock()
         self._in_flight: Dict[int, Ticket] = {}
         self._pending: Deque[Tuple[RequestEnvelope, Ticket]] = deque()
-        self._ready: Deque[Tuple[OutcomeRecord, Optional[Ticket]]] = deque()
-        self._compact_limit = 64
-        self._closed = False
-        #: Verdict tallies over every settled record (including
-        #: backpressure, which the controller never sees).
-        self.verdicts: Dict[str, int] = {v.value: 0 for v in SessionVerdict}
 
     # ------------------------------------------------------------------
     # Clock and introspection.
@@ -166,18 +150,6 @@ class ControllerSession:
         """Requests admitted but not yet settled."""
         return len(self._in_flight) + len(self._pending)
 
-    @property
-    def backpressured(self) -> int:
-        """Requests refused at the admission window so far."""
-        return self.verdicts[SessionVerdict.BACKPRESSURE.value]
-
-    @property
-    def undelivered(self) -> int:
-        """Settled records a future :meth:`drain` would still yield
-        (settled but neither drained nor claimed via a ticket)."""
-        return sum(1 for _record, ticket in self._ready
-                   if ticket is None or not ticket.claimed)
-
     def introspect(self) -> ControllerView:
         """Delegates to the engine, so the protocol-based auditor
         accepts a session wherever it accepts a controller."""
@@ -187,10 +159,6 @@ class ControllerSession:
               ) -> InvariantReport:
         """Run the invariant auditor over the live engine."""
         return audit_controller(self.controller, report)
-
-    def tally(self) -> Dict[str, int]:
-        """Verdict counts over every settled record."""
-        return dict(self.verdicts)
 
     # ------------------------------------------------------------------
     # Submission.
@@ -206,28 +174,7 @@ class ControllerSession:
         ``delay`` is the arrival offset in simulated time (event-driven
         engine only).
         """
-        with self._lock:
-            if self._closed:
-                raise ControllerError("session is closed")
-            envelope, ticket = self._make_ticket(request)
-            if (len(self._in_flight) + len(self._pending)
-                    >= self.config.max_in_flight):
-                self._settle(ticket, envelope, None,
-                             SessionVerdict.BACKPRESSURE)
-                return ticket
-            self._dispatch(envelope, ticket, delay)
-            return ticket
-
-    def _make_ticket(self, request: Request
-                     ) -> Tuple[RequestEnvelope, Ticket]:
-        scheduler = self.scheduler
-        tick = (scheduler.now if self._event_driven
-                and scheduler is not None else float(self._clock))
-        envelope = RequestEnvelope(envelope_id=self._next_envelope,
-                                   request=request, submit_tick=tick)
-        self._next_envelope += 1
-        self._clock += 1
-        return envelope, Ticket(envelope, pump=self._pump)
+        return self._book(request, delay)
 
     def _dispatch(self, envelope: RequestEnvelope, ticket: Ticket,
                   delay: Optional[float]) -> None:
@@ -238,7 +185,7 @@ class ControllerSession:
             submit(envelope.request,
                    delay=delay if delay is not None else 0.0,
                    callback=lambda outcome, t=ticket, e=envelope:
-                   self._settle(t, e, outcome, verdict_of(outcome)))
+                   self._land(t, e, outcome))
         else:
             self._pending.append((envelope, ticket))
 
@@ -357,39 +304,12 @@ class ControllerSession:
     # ------------------------------------------------------------------
     # Settlement.
     # ------------------------------------------------------------------
-    def _settle(self, ticket: Ticket, envelope: RequestEnvelope,
-                outcome: Optional[Outcome],
-                verdict: SessionVerdict) -> None:
-        self._clock += 1
-        handle: Optional[TraceHandle] = None
-        if self.trace is not None:
-            handle = TraceHandle(trace=self.trace, upto=len(self.trace))
-        record = OutcomeRecord((envelope.request, envelope.envelope_id,
-                                envelope.submit_tick, outcome, self.now,
-                                handle))
+    def _land(self, ticket: Ticket, envelope: RequestEnvelope,
+              outcome: Outcome) -> None:
+        """Event-driven settlement callback: the request leaves the
+        in-flight map and settles."""
         self._in_flight.pop(envelope.envelope_id, None)
-        self.verdicts[verdict.value] += 1
-        ticket._settle(record)
-        ready = self._ready
-        # Ticket-only consumers never drain: purge the already-claimed
-        # head so the queue stays O(unclaimed) instead of O(all-time).
-        while ready:
-            head_ticket = ready[0][1]
-            if head_ticket is None or not head_ticket.claimed:
-                break
-            ready.popleft()
-        ready.append((record, ticket))
-        # An abandoned unclaimed ticket at the head blocks the cheap
-        # purge above; compact occasionally (amortized O(1) per settle)
-        # so claimed records behind it cannot accumulate forever.
-        # Unclaimed records are retained by design — they are the
-        # not-yet-drained outcome stream.
-        if len(ready) >= self._compact_limit:
-            retained = [pair for pair in ready
-                        if pair[1] is None or not pair[1].claimed]
-            ready.clear()
-            ready.extend(retained)
-            self._compact_limit = max(64, 2 * len(retained))
+        self._settle(ticket, envelope, outcome, verdict_of(outcome))
 
     def _pump(self) -> bool:
         """Advance the engine one unit; False when it is idle.
@@ -408,8 +328,7 @@ class ControllerSession:
         once.
         """
         with self._lock:
-            if self._closed:
-                raise ControllerError("session is closed")
+            self._check_open()
             if self._event_driven:
                 assert self.scheduler is not None
                 # A batch of events per pump amortizes this lock and
@@ -425,46 +344,10 @@ class ControllerSession:
                 self._settle(ticket, envelope, outcome, verdict_of(outcome))
             return True
 
-    def drain(self) -> Iterator[OutcomeRecord]:
-        """Pump the engine, yielding records in settlement order.
-
-        Terminates when nothing is in flight; a later ``submit`` may be
-        followed by another ``drain()``.  Delivery is exactly-once: a
-        record whose ticket was already taken via ``Ticket.result()``
-        is skipped here (the reverse also holds — a drained record
-        stays readable through its ticket, as a lookup).  Concurrent
-        drains share one stream: each settled record is popped (and
-        yielded) by exactly one of them, and a drain racing other
-        pumpers re-checks the queue instead of mistaking their progress
-        for a stuck engine.
-        """
-        while True:
-            with self._lock:
-                record_ticket: Optional[
-                    Tuple[OutcomeRecord, Optional[Ticket]]] = None
-                while self._ready:
-                    head, ticket = self._ready.popleft()
-                    if ticket is not None and ticket.claimed:
-                        continue
-                    record_ticket = (head, ticket)
-                    break
-                if record_ticket is None:
-                    if self.in_flight == 0:
-                        self._quiesce()
-                        return
-                    # Pump inside the lock: the in-flight check and the
-                    # pump are atomic, so another thread settling the
-                    # remainder between them cannot fake an idle engine.
-                    if not self._pump():
-                        raise ProtocolError(
-                            f"{self.in_flight} requests in flight but "
-                            "the engine is idle (agent lost?)")
-                    continue
-            yield record_ticket[0]
-
-    def settle_all(self) -> List[OutcomeRecord]:
-        """Drain to quiescence and return the settled records."""
-        return list(self.drain())
+    # The stack benchmark's tracer patches these in the class's own
+    # namespace, so they are bound here rather than inherited.
+    drain = TicketLedger.drain
+    settle_all = TicketLedger.settle_all
 
     def _quiesce(self) -> None:
         """Finish the event engine's post-settlement cleanup.
@@ -481,10 +364,6 @@ class ControllerSession:
     # ------------------------------------------------------------------
     # Lifecycle.
     # ------------------------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def close(self) -> None:
         """Settle nothing further: detach the engine from the tree.
 
@@ -497,12 +376,6 @@ class ControllerSession:
                 if not self._in_flight and not self._pending:
                     self._quiesce()  # settled work still owed its cleanup
                 self.controller.detach()
-
-    def __enter__(self) -> "ControllerSession":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
     def __repr__(self) -> str:
         spec = self.config.controller

@@ -20,7 +20,6 @@ from repro.sim.delays import (
     UnitDelay,
     make_delay_model,
 )
-from repro.sim.tracing import TraceEvent, Tracer
 
 __all__ = [
     "Event",
@@ -34,6 +33,4 @@ __all__ = [
     "BurstStallDelay",
     "DELAY_MODELS",
     "make_delay_model",
-    "TraceEvent",
-    "Tracer",
 ]

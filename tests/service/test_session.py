@@ -3,11 +3,16 @@
 import pytest
 
 from repro import (
+    AppSpec,
     ControllerSession,
+    FleetConfig,
+    FleetRouter,
+    IterationRecord,
     Request,
     RequestKind,
     SessionConfig,
     SessionVerdict,
+    make_app,
 )
 from repro.errors import ConfigError, ControllerError
 from repro.protocol import SessionProtocol
@@ -215,26 +220,75 @@ def test_serve_stream_bypasses_admission_on_event_engine():
     assert session.backpressured == 0
 
 
+def _fleet_front():
+    tree = build_random_tree(16, seed=5)
+    config = FleetConfig.of(shards=1, m_total=200, w_total=20, u=1000)
+    return FleetRouter(config, trees=[tree])
+
+
+def _app_front():
+    return make_app(AppSpec("size_estimation"),
+                    tree=build_random_tree(16, seed=5))
+
+
+#: The three front ends that book tickets in the shared ledger; the
+#: ledger tests below run against each in turn.
+FRONT_ENDS = {"session": _session, "fleet": _fleet_front,
+              "app": _app_front}
+
+
+def _front_plain(front):
+    tree = (front.shards[0].tree if isinstance(front, FleetRouter)
+            else front.tree)
+    return Request(RequestKind.PLAIN, tree.root)
+
+
+def _queued_records(front):
+    """Ready-queue entries other than app iteration boundaries, which
+    stay queued for a drain by design."""
+    return [entry for entry, _ticket in front._ready
+            if not isinstance(entry, IterationRecord)]
+
+
 def test_ticket_only_consumption_does_not_leak_ready_queue():
-    """A session consumed purely via Ticket.result() must not retain
+    """A front end consumed purely via Ticket.result() must not retain
     every settled record (regression: _ready grew without bound)."""
-    session = _session()
-    for _ in range(50):
-        session.submit(_plain(session)).result()
-    assert len(session._ready) <= 1
+    for name, make in FRONT_ENDS.items():
+        front = make()
+        for _ in range(50):
+            front.submit(_front_plain(front)).result()
+        assert len(_queued_records(front)) <= 1, name
 
 
 def test_abandoned_ticket_does_not_block_ready_compaction():
     """One never-claimed, never-drained ticket at the queue head must
     not pin every later claimed record (regression: the head purge
     stopped at the first unclaimed entry)."""
-    session = _session()
-    session.submit(_plain(session))  # abandoned: never result()ed
-    session._pump()                  # settles it, unclaimed, at head
-    for _ in range(300):
-        session.submit(_plain(session)).result()
-    assert len(session._ready) < 70  # compacted, not 301
-    assert session.undelivered == 1  # the abandoned record survives
+    for name, make in FRONT_ENDS.items():
+        front = make()
+        front.submit(_front_plain(front))  # abandoned: never result()ed
+        front._pump()                      # settles it, unclaimed
+        for _ in range(300):
+            front.submit(_front_plain(front)).result()
+        records = _queued_records(front)
+        assert len(records) < 70, name  # compacted, not 301
+        boundaries = len(front._ready) - len(records)
+        # The abandoned record survives.
+        assert front.undelivered - boundaries == 1, name
+
+
+def test_claimed_records_behind_unclaimed_ones_are_compacted():
+    """A claimed record with an unclaimed one queued after it escapes
+    the tail sweep; compaction still keeps the queue O(undelivered)."""
+    for name, make in FRONT_ENDS.items():
+        front = make()
+        for _ in range(100):
+            kept = front.submit(_front_plain(front))
+            front.submit(_front_plain(front))  # abandoned
+            kept.result()
+        # Uncompacted, 100 claimed records would sit among the 100
+        # abandoned ones.
+        assert len(_queued_records(front)) < 200, name
 
 
 def test_distributed_ticket_result_pumps_scheduler():

@@ -7,13 +7,25 @@ channel.  These are the race regressions for the locked session pump:
 barrier-synchronized double-drain, result-vs-drain on the same ticket,
 and submit-while-drain interleaving.  Before the session grew its
 lock, two drains could both pop the same ready record, and a drain
-racing the in-flight check could raise a spurious ProtocolError.
+racing the in-flight check could raise a spurious ProtocolError.  The
+first two races also run against a fleet and an app, which book their
+tickets in the same ledger.
 """
 
 import threading
 from collections import Counter
 
-from repro import ControllerSession, Request, RequestKind, SessionConfig
+from repro import (
+    AppSpec,
+    ControllerSession,
+    FleetConfig,
+    FleetRouter,
+    IterationRecord,
+    Request,
+    RequestKind,
+    SessionConfig,
+    make_app,
+)
 from repro.workloads import build_random_tree
 
 
@@ -24,14 +36,49 @@ def _session(flavor="distributed", n=40, **knobs):
     return ControllerSession(config, tree=tree)
 
 
-def _requests(session, count):
-    nodes = list(session.tree.nodes())
+def _fleet():
+    trees = [build_random_tree(20, seed=13 + shard) for shard in (0, 1)]
+    config = FleetConfig.of(shards=2, m_total=600, w_total=60, u=3000,
+                            max_in_flight=1 << 20)
+    return FleetRouter(config, trees=trees)
+
+
+def _app():
+    spec = AppSpec("size_estimation", flavor="distributed",
+                   max_in_flight=1 << 20)
+    return make_app(spec, tree=build_random_tree(40, seed=13))
+
+
+#: The three front ends that book tickets in the shared ledger; the
+#: first two races run against each in turn.
+FRONT_ENDS = {"session": _session, "fleet": _fleet, "app": _app}
+
+
+def _requests(front, count):
+    trees = ([shard.tree for shard in front.shards]
+             if isinstance(front, FleetRouter) else [front.tree])
+    nodes = [node for tree in trees for node in tree.nodes()]
     return [Request(RequestKind.PLAIN, nodes[i % len(nodes)])
             for i in range(count)]
 
 
+def _records(front):
+    """The drain stream minus app iteration boundaries."""
+    return (record for record in front.drain()
+            if not isinstance(record, IterationRecord))
+
+
 def test_barrier_synchronized_double_drain_is_exactly_once():
-    session = _session()
+    for make in FRONT_ENDS.values():
+        _double_drain(make())
+
+
+def test_result_vs_drain_race_never_duplicates_the_drain_channel():
+    for make in FRONT_ENDS.values():
+        _result_vs_drain(make())
+
+
+def _double_drain(session):
     session.submit_many(_requests(session, 120))
     barrier = threading.Barrier(2)
     drained = [[], []]
@@ -40,7 +87,7 @@ def test_barrier_synchronized_double_drain_is_exactly_once():
     def drainer(slot):
         try:
             barrier.wait(timeout=10)
-            for record in session.drain():
+            for record in _records(session):
                 drained[slot].append(record.envelope_id)
         except Exception as error:
             errors.append(error)
@@ -61,8 +108,7 @@ def test_barrier_synchronized_double_drain_is_exactly_once():
     assert session.in_flight == 0
 
 
-def test_result_vs_drain_race_never_duplicates_the_drain_channel():
-    session = _session()
+def _result_vs_drain(session):
     tickets = session.submit_many(_requests(session, 100))
     barrier = threading.Barrier(2)
     drained = []
@@ -72,7 +118,7 @@ def test_result_vs_drain_race_never_duplicates_the_drain_channel():
     def drainer():
         try:
             barrier.wait(timeout=10)
-            for record in session.drain():
+            for record in _records(session):
                 drained.append(record)
         except Exception as error:
             errors.append(error)

@@ -17,10 +17,12 @@ are served from gap budgets pre-allocated inside the parent's interval
 the amortized accounting also covers.
 """
 
+from dataclasses import replace
 from typing import ClassVar, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ControllerError, InvariantViolation
 from repro.metrics.counters import MoveCounters
+from repro.protocol import AppView
 from repro.service.appspec import AppSpec
 from repro.tree.dynamic_tree import DynamicTree, TreeListener
 from repro.tree.node import TreeNode
@@ -79,6 +81,11 @@ class AncestryLabelsApp(SizeEstimationApp):
         assert self.labeling is not None
         return self.labeling.label_bits()
 
+    def app_view(self) -> AppView:
+        assert self.labeling is not None
+        return replace(super().app_view(), label_bits=self.label_bits(),
+                       label_slack=self.labeling.slack)
+
     def check_correctness(
             self, sample_pairs: Iterable[Tuple[TreeNode, TreeNode]]) -> None:
         assert self.labeling is not None
@@ -95,7 +102,11 @@ class AncestryLabeling(TreeListener):
 
     ``slack`` controls the gap budget: each node's interval is ``slack``
     times larger than its subtree strictly needs, so roughly
-    ``log(slack)``-fold growth is absorbed before a relabel.
+    ``log(slack)``-fold growth is absorbed before a relabel.  A relabel
+    gives preorder node ``j`` (parent ``p``) the interval starting at
+    ``low[p] + 1 + slack * (j - p - 1)`` of width ``slack * size[j]``;
+    a node's cursor stays derived, ``high - slack + 2``, until it gains
+    a child (``_cursor`` holds only the cursors insertions set).
     """
 
     def __init__(self, tree: DynamicTree, slack: int = 4,
@@ -143,35 +154,21 @@ class AncestryLabeling(TreeListener):
     # ------------------------------------------------------------------
     # Relabeling.
     # ------------------------------------------------------------------
-    def _interval_need(self, node: TreeNode,
-                       sizes: Dict[TreeNode, int]) -> int:
-        return self.slack * sizes[node]
-
     def _relabel(self) -> None:
         """Assign fresh intervals: one DFS traversal (2(n-1) messages)."""
         self.relabels += 1
         self.labeled_size = self.tree.size
         self.counters.reset_moves += 2 * max(self.tree.size - 1, 0)
-        self.labels.clear()
         self._cursor.clear()
-        sizes: Dict[TreeNode, int] = {}
-        order = list(self.tree.nodes())
-        for node in reversed(order):
-            sizes[node] = 1 + sum(sizes[c] for c in node.children)
-        self._assign(self.tree.root, 0, sizes)
-
-    def _assign(self, node: TreeNode, low: int,
-                sizes: Dict[TreeNode, int]) -> None:
-        stack = [(node, low)]
-        while stack:
-            current, lo = stack.pop()
-            hi = lo + self._interval_need(current, sizes) - 1
-            self.labels[current] = (lo, hi)
-            child_lo = lo + 1
-            for child in current.children:
-                stack.append((child, child_lo))
-                child_lo += self._interval_need(child, sizes)
-            self._cursor[current] = child_lo
+        order, parent_index, sizes = self.tree.preorder_layout()
+        slack = self.slack
+        lows = [0] * len(order)
+        for j in range(1, len(order)):
+            p = parent_index[j]
+            lows[j] = lows[p] + 1 + slack * (j - p - 1)
+        self.labels.clear()
+        self.labels.update(zip(order, [(low, low + slack * size - 1)
+                                       for low, size in zip(lows, sizes)]))
 
     def _maybe_relabel(self) -> None:
         n = self.tree.size
@@ -184,8 +181,8 @@ class AncestryLabeling(TreeListener):
         Halving lets ~log(gap) nested insertions succeed before a
         relabel is forced, keeping relabels rare on random growth.
         """
-        parent_low, parent_high = self.labels[parent]
-        cursor = self._cursor.get(parent, parent_low + 1)
+        parent_high = self.labels[parent][1]
+        cursor = self._cursor.get(parent, parent_high - self.slack + 2)
         width = (parent_high - cursor) // 2
         if width < 1:
             self._relabel()

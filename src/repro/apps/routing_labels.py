@@ -20,10 +20,12 @@ share the relabel policy; this one additionally maintains the per-node
 child tables that routing needs).
 """
 
+from dataclasses import replace
 from typing import ClassVar, Dict, List, Optional, Tuple
 
 from repro.errors import InvariantViolation
 from repro.metrics.counters import MoveCounters
+from repro.protocol import AppView
 from repro.service.appspec import AppSpec
 from repro.tree.dynamic_tree import DynamicTree, TreeListener
 from repro.tree.node import TreeNode
@@ -87,6 +89,10 @@ class RoutingLabelsApp(SizeEstimationApp):
         assert self.labeling is not None
         return self.labeling.label_bits()
 
+    def app_view(self) -> AppView:
+        return replace(super().app_view(), label_bits=self.label_bits(),
+                       label_slack=1)
+
     def close(self) -> None:
         if self.labeling is not None:
             self.labeling.detach()
@@ -94,7 +100,11 @@ class RoutingLabelsApp(SizeEstimationApp):
 
 
 class RoutingLabeling(TreeListener):
-    """Exact (stretch-1) interval routing on a dynamic tree."""
+    """Exact (stretch-1) interval routing on a dynamic tree.
+
+    Relabels give tight intervals: preorder node ``j`` gets ``(j, j +
+    size[j] - 1)``, the slack-1 case of the ancestry layout.
+    """
 
     def __init__(self, tree: DynamicTree,
                  counters: Optional[MoveCounters] = None) -> None:
@@ -166,19 +176,10 @@ class RoutingLabeling(TreeListener):
         self.relabels += 1
         self.labeled_size = self.tree.size
         self.counters.reset_moves += 2 * max(self.tree.size - 1, 0)
+        order, _, sizes = self.tree.preorder_layout()
         self.labels.clear()
-        sizes: Dict[TreeNode, int] = {}
-        order = list(self.tree.nodes())
-        for node in reversed(order):
-            sizes[node] = 1 + sum(sizes[c] for c in node.children)
-        stack = [(self.tree.root, 0)]
-        while stack:
-            node, low = stack.pop()
-            self.labels[node] = (low, low + sizes[node] - 1)
-            child_low = low + 1
-            for child in node.children:
-                stack.append((child, child_low))
-                child_low += sizes[child]
+        self.labels.update(zip(order, [(j, j + size - 1)
+                                       for j, size in enumerate(sizes)]))
 
     def _maybe_relabel(self) -> None:
         n = self.tree.size

@@ -69,12 +69,9 @@ class SubtreeEstimatorApp(SizeEstimationApp, TreeListener):
         self._compute_subtree_sizes()
 
     def _compute_subtree_sizes(self) -> None:
-        # Post-order accumulation without recursion (deep paths).
-        order = list(self.tree.nodes())
-        for node in reversed(order):
-            total = 1 + sum(self._omega0.get(c, 0) for c in node.children)
-            self._omega0[node] = total
-            self._true_sw[node] = total
+        order, _, sizes = self.tree.preorder_layout()
+        self._omega0.update(zip(reversed(order), reversed(sizes)))
+        self._true_sw.update(self._omega0)
 
     # ------------------------------------------------------------------
     # Permit-flow monitoring.

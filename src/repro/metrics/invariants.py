@@ -271,6 +271,11 @@ def audit_app(app: object, report: Optional[InvariantReport] = None
       are present: ``max(estimate/n, n/estimate) <= beta``;
     * Theorem 5.2 **id uniqueness and range** when ``ids`` is present:
       all distinct, all within ``[1, 4n]``;
+    * the Corollary 5.6/5.7 **label size** when ``label_bits`` /
+      ``label_slack`` are present: ``label_bits <= 2 *
+      bit_length(label_slack * (2n + 1))`` — every label nests in the
+      root's ``[0, slack * labeled_size)`` and the halving trigger
+      keeps ``labeled_size <= 2n + 1``;
     * **permit conservation across rollover**: grants banked by closed
       iterations plus the live controller's tally equal the app's own
       granted count — teardown/rebuild loses no grant and invents
@@ -324,6 +329,15 @@ def _audit_app_view(view: AppView, report: InvariantReport) -> None:
             not bad, "ids",
             f"{label}: {len(bad)} id(s) outside [1, {4 * n}] "
             f"(first: {bad[:3]})", n=n)
+    if view.label_bits is not None and view.label_slack is not None:
+        n = view.size
+        bound = 2 * (view.label_slack * (2 * n + 1)).bit_length()
+        report.expect(
+            view.label_bits <= bound, "labels",
+            f"{label}: {view.label_bits}-bit labels above the "
+            f"{bound}-bit bound for n={n}, slack={view.label_slack}",
+            label_bits=view.label_bits, bound=bound, n=n,
+            slack=view.label_slack)
     live = view.controller
     if live is not None:
         live_granted = getattr(live, "granted", 0)

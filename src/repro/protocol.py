@@ -143,6 +143,8 @@ class AppView:
       across iteration rollovers (grants banked by closed iterations
       plus the live controller's tally equal the app's own grant
       count);
+    * ``label_bits`` + ``label_slack`` -> the Corollary 5.6/5.7 label
+      size ``label_bits <= 2 * bit_length(label_slack * (2n + 1))``;
     * ``controller`` -> the live iteration's engine, audited
       recursively through :func:`~repro.metrics.invariants.audit_controller`.
     """
@@ -155,6 +157,8 @@ class AppView:
     ids: Optional[Tuple[int, ...]] = None
     grants_banked: int = 0
     granted_total: int = 0
+    label_bits: Optional[int] = None
+    label_slack: Optional[int] = None
     controller: Optional[Any] = None
 
 

@@ -49,7 +49,7 @@ centralized controller's churn policy does); :mod:`repro.tree.paths`
 also serves as the oracle the tests check these tables against.
 """
 
-from typing import Iterator, List, Optional, Set
+from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.errors import TopologyError
 from repro.tree.node import TreeNode
@@ -155,6 +155,36 @@ class DynamicTree:
             yield node
             # Reversed so that iteration visits children left-to-right.
             stack.extend(reversed(node.children))
+
+    def preorder_layout(self) -> Tuple[List[TreeNode], List[int], List[int]]:
+        """The tree flattened into three index-aligned lists.
+
+        ``order`` lists the alive nodes in the same preorder as
+        :meth:`nodes`; ``parent_index[j]`` is the position of
+        ``order[j]``'s parent (-1 for the root at position 0); and
+        ``sizes[j]`` is the subtree size of ``order[j]``.  A subtree
+        occupies the contiguous slice ``order[j:j + sizes[j]]``, so the
+        nodes between a parent ``p`` and its child ``j`` are exactly the
+        subtrees of ``j``'s earlier siblings.  One iterative pass plus
+        one reverse accumulation: no recursion, and no dict keyed by
+        node (each probe would pay a Python-level ``__hash__``).
+        """
+        order: List[TreeNode] = []
+        parent_index: List[int] = []
+        stack = [self.root]
+        above = [-1]
+        while stack:
+            node = stack.pop()
+            parent_index.append(above.pop())
+            children = node.children
+            if children:
+                above.extend([len(order)] * len(children))
+                stack.extend(reversed(children))
+            order.append(node)
+        sizes = [1] * len(order)
+        for j in range(len(order) - 1, 0, -1):
+            sizes[parent_index[j]] += sizes[j]
+        return order, parent_index, sizes
 
     def depth(self, node: TreeNode) -> int:
         """Hop distance from ``node`` to the root.

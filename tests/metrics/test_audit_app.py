@@ -82,3 +82,14 @@ def test_live_engine_violations_propagate():
     app.view.granted_total = 7 + 99
     report = audit_app(app)
     assert any(v.invariant == "safety" for v in report.violations)
+
+
+def test_label_size_bound():
+    # n=10, slack=4: labels nest in [0, 4 * 21), 7 bits per endpoint.
+    report = audit_app(_FakeApp(label_bits=14, label_slack=4))
+    assert report.passed
+    assert report.checks["labels"] == 1
+    report = audit_app(_FakeApp(label_bits=16, label_slack=4))
+    assert [v.invariant for v in report.violations] == ["labels"]
+    # Undeclared: no label check at all.
+    assert "labels" not in audit_app(_FakeApp()).checks

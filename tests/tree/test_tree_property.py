@@ -4,8 +4,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.tree import DynamicTree
+from repro.tree import DynamicTree, ancestors
 from repro.tree.ports import SequentialPortAssigner
+from repro.workloads import build_path
 
 
 def apply_random_mutations(tree, rng, steps):
@@ -83,3 +84,29 @@ def test_depths_consistent_with_parent_chain(seed, steps):
     for node in tree.nodes():
         if node.parent is not None:
             assert tree.depth(node) == tree.depth(node.parent) + 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), steps=st.integers(0, 120))
+def test_preorder_layout_flattens_the_tree(seed, steps):
+    rng = random.Random(seed)
+    tree = DynamicTree()
+    apply_random_mutations(tree, rng, steps)
+    order, parent_index, sizes = tree.preorder_layout()
+    assert order == list(tree.nodes())
+    position = {node: j for j, node in enumerate(order)}
+    assert parent_index == [-1 if node.parent is None
+                            else position[node.parent] for node in order]
+    for j, node in enumerate(order):
+        subtree = order[j:j + sizes[j]]
+        assert all(node in ancestors(v) for v in subtree)
+        assert sizes[j] == 1 + sum(sizes[position[c]]
+                                   for c in node.children)
+
+
+def test_preorder_layout_of_a_deep_path():
+    tree = build_path(20_000)
+    order, parent_index, sizes = tree.preorder_layout()
+    assert order == list(tree.nodes())
+    assert parent_index == list(range(-1, 19_999))
+    assert sizes == list(range(20_000, 0, -1))

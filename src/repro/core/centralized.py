@@ -45,7 +45,6 @@ from repro.metrics.counters import MoveCounters
 from repro.protocol import ControllerView
 from repro.tree.dynamic_tree import DynamicTree, TreeListener
 from repro.tree.node import TreeNode
-from repro.tree import paths
 from repro.core import kernel
 from repro.core.domains import DomainTracker
 from repro.core.kernel import KernelTrace, PermitLedger
@@ -131,17 +130,6 @@ class CentralizedController(TreeListener):
         # scanning hosts beats climbing the whole root path on deep
         # trees; ``_find_filler`` picks whichever bound is smaller.
         self._mobile_hosts: Dict[TreeNode, NodeStore] = {}
-        # Adaptive ancestry policy: skip-pointer tables pay off only
-        # while splices are rare (a splice invalidates the caches of a
-        # whole subtree).  Every 64 requests we look at how far the
-        # tree's splice generation moved and enable/disable the
-        # table-based paths accordingly; correctness is unaffected
-        # either way (both paths are exact), only constants change.
-        # Starts conservative (walks) until the first window proves the
-        # churn is low.
-        self._tables_on = False
-        self._req_count = 0
-        self._win_gen = tree.anc_generation
         self._attached = True
         tree.add_listener(self)
 
@@ -181,12 +169,6 @@ class CentralizedController(TreeListener):
         """Run ``GrantOrReject`` for one request, synchronously."""
         if not self._attached:
             raise ControllerError("controller has been detached")
-        if self._fast:
-            self._req_count += 1
-            if not self._req_count & 63:
-                gen = self.tree.anc_generation
-                self._tables_on = gen - self._win_gen <= 2
-                self._win_gen = gen
         node = request.node
         if node not in self.tree or not self._still_meaningful(request):
             return Outcome(OutcomeStatus.CANCELLED, request)
@@ -264,9 +246,8 @@ class CentralizedController(TreeListener):
         package (exhaustion); in reject mode this also broadcasts the
         reject wave.
         """
-        package, dist = self._find_filler(node)
+        package, dist, dist_to_root = self._find_filler(node)
         if package is None:
-            dist_to_root = self._depth(node)
             level = self.params.creation_level(dist_to_root)
             if not self._ledger.covers(self.params.mobile_size(level)):
                 if self.reject_on_exhaustion:
@@ -284,28 +265,31 @@ class CentralizedController(TreeListener):
     def _find_filler(self, node: TreeNode):
         """Closest ancestor that is a filler node w.r.t. ``node``.
 
-        Returns ``(package, distance)``, removing the package from its
-        host's store — or ``(None, None)`` if no filler exists up to and
-        including the root.
+        Returns ``(package, distance, depth)``, removing the package
+        from its host's store — or ``(None, None, depth)`` if no filler
+        exists up to and including the root.  ``depth`` is ``node``'s,
+        which the caller reuses as the creation distance.
 
-        Three equivalent strategies (identical result, all free in the
-        centralized cost model — only package moves are charged):
+        Two equivalent strategies (identical result, both free in the
+        centralized cost model — only package moves are charged); the
+        one with the smaller bound runs:
 
-        * the empty-index short cut — no parked package anywhere means
-          no filler, without touching the tree;
-        * with warm skip-pointer ancestry, an **indexed scan** of
-          ``_mobile_hosts``: O(hosts) candidate distances from
-          generation-cached host depths plus O(log depth) skip-jump
-          verification of the winners — independent of the tree depth;
-        * otherwise the climb — O(depth), but over per-node store
-          slots (two slot loads per hop) when this controller holds
-          the fast path, dict probes when it does not.
+        * an **indexed scan** of ``_mobile_hosts`` — O(hosts) depth
+          queries plus one ancestry check of the winner — when fewer
+          hosts park packages than ``node`` is deep;
+        * otherwise the climb — O(depth), over per-node store slots
+          (two slot loads per hop) when this controller holds the fast
+          path, dict probes when it does not.
         """
-        if not self._mobile_hosts:
-            return None, None
-        if self._fast and self._tables_on:
-            return self._find_filler_indexed(node, -1)
-        return self._find_filler_climb(node)
+        node_depth = self.tree.depth(node)
+        hosts = len(self._mobile_hosts)
+        if not hosts:
+            return None, None, node_depth
+        if hosts < node_depth:
+            package, dist = self._find_filler_indexed(node, node_depth)
+        else:
+            package, dist = self._find_filler_climb(node)
+        return package, dist, node_depth
 
     def _find_filler_climb(self, node: TreeNode):
         """The ancestor climb: first in-window package wins.
@@ -339,18 +323,14 @@ class CentralizedController(TreeListener):
             dist += 1
         return None, None
 
-    def _find_filler_indexed(self, node: TreeNode, min_dist: int):
-        """Closest filler strictly beyond ``min_dist`` hops, via index.
+    def _find_filler_indexed(self, node: TreeNode, node_depth: int):
+        """Closest filler on ``node``'s root path, via the host index.
 
-        Scans the parked-package hosts: candidate distances come from
-        generation-cached host depths (one O(log depth) refresh per
-        splice generation), and only window-passing candidates pay the
-        O(log depth) skip-jump ancestry verification.  Equivalent to
-        continuing the climb past ``min_dist``.
+        Scans the parked-package hosts: a candidate's distance is the
+        depth difference, and only the closest window-passing candidate
+        pays the ancestry verification.  Equivalent to the climb.
         """
         tree = self.tree
-        gen = tree.anc_generation
-        node_depth = tree.depth(node)
         params = self.params
         excluded = None
         while True:
@@ -363,11 +343,8 @@ class CentralizedController(TreeListener):
             best_dist = None
             best_host = None
             for host, store in self._mobile_hosts.items():
-                if store.host_depth_gen != gen:
-                    store.host_depth = tree.depth(host)
-                    store.host_depth_gen = gen
-                dist = node_depth - store.host_depth
-                if dist <= min_dist or \
+                dist = node_depth - tree.depth(host)
+                if dist < 0 or \
                         (best_dist is not None and dist >= best_dist) or \
                         (excluded is not None and host in excluded):
                     continue
@@ -401,7 +378,7 @@ class CentralizedController(TreeListener):
         plan = kernel.plan_distribution(self.params, package.level,
                                         package.size, dist)
         for step in plan.steps:
-            target = self._ancestor_at(node, step.dist)
+            target = self.tree.ancestor_at(node, step.dist)
             self.counters.package_moves += dist - step.dist
             self._observe_flow(node, dist - 1, step.dist, package.size)
             if self.domains is not None:
@@ -436,28 +413,13 @@ class CentralizedController(TreeListener):
         """
         if self.permit_flow_observer is None or from_dist < to_dist:
             return
-        current = self._ancestor_at(node, to_dist)
+        current = self.tree.ancestor_at(node, to_dist)
         for _ in range(from_dist - to_dist + 1):
             self.permit_flow_observer(current, permits)
             parent = current.parent
             if parent is None:
                 break
             current = parent
-
-    def _depth(self, node: TreeNode) -> int:
-        """Depth of ``node``, honouring the adaptive ancestry policy."""
-        if self._tables_on:
-            return self.tree.depth(node)
-        return paths.depth(node)
-
-    def _ancestor_at(self, node: TreeNode, hops: int) -> TreeNode:
-        """Exact ancestor query, honouring the adaptive ancestry policy.
-
-        Callers guarantee ``hops <= depth(node)``.
-        """
-        if self._tables_on:
-            return self.tree.ancestor_at(node, hops)
-        return paths.ancestor_at(node, hops)
 
     def _broadcast_reject_wave(self) -> None:
         """Place a reject package at every node (item 3b).

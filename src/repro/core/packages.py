@@ -64,11 +64,6 @@ class NodeStore:
     static_permits: int = 0
     has_reject: bool = False
     static_intervals: List[Tuple[int, int]] = field(default_factory=list)
-    # Cached depth of the hosting node, keyed by the tree's splice
-    # generation (``DynamicTree.anc_generation``) — the request engine's
-    # indexed filler scan refreshes it lazily when the generation moves.
-    host_depth: int = -1
-    host_depth_gen: int = -1
 
     @property
     def is_empty(self) -> bool:

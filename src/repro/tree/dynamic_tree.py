@@ -13,47 +13,39 @@ whose messages travel only on tree edges) are deliberately not modelled;
 Section 2.1.2 classifies their insertion/removal as non-topological
 events, which our request layer supports directly.
 
-Skip-pointer ancestry
----------------------
-The tree maintains a level-ancestor structure (binary jump pointers:
-node ``v`` caches its depth and the ancestors ``2^i`` hops up) so
-:meth:`DynamicTree.depth` and :meth:`DynamicTree.ancestor_at` run in
-O(log depth) instead of O(depth) parent-pointer walks.  The structure
-is *simulation-local* bookkeeping: it models no messages and charges no
-counters, exactly like the naive walks it replaces (the centralized
-cost model charges package moves only, and the distributed engine's
-agents still pay one message per physical hop).
+Euler-tour ancestry
+-------------------
+:meth:`DynamicTree.depth` and :meth:`DynamicTree.ancestor_at` answer
+from parent pointers while the answer lies within :data:`WALK_CAP`
+hops.  A query that goes past the cap builds an
+:class:`~repro.tree.euler_tour.EulerTour` of the whole tree in one
+preorder pass; from then on every mutation keeps the tour in step by
+inserting or deleting the two tokens of the node it adds or removes,
+and deep queries read running sums over the tour's runs of tokens.  Until a
+query goes that deep, a mutation pays one ``is None`` check, so
+shallow trees never pay for the tour's upkeep.
 
-Maintenance under churn is lazy with subtree-local invalidation:
-
-* ``add_leaf`` / ``remove_leaf`` change no existing depth — no
-  invalidation; the new leaf's table is built on first query in
-  O(log depth);
-* ``add_internal`` / ``remove_internal`` shift a whole subtree's depth
-  by one — the moved subtree is flag-marked stale (O(subtree) flag
-  writes, no table work), and stale tables are rebuilt on demand, only
-  for nodes actually reached by later queries.
-
-The soundness invariant (property-tested against the parent walks):
-a fresh cache is a correct cache, because any splice on a node's root
-path marks exactly the subtree below the spliced edge — which contains
-the node — stale; by the same argument every entry of a fresh table
-(all of them ancestors) is fresh too, so jump decompositions never read
-a stale table.
-
-The structure pays off in growth/query-heavy regimes (leaf churn and
-plain events never invalidate anything).  Under splice-heavy churn the
-repair traffic can exceed what parent-pointer walks cost, so callers
-that expect such churn walk :mod:`repro.tree.paths` directly (the
-centralized controller's churn policy does); :mod:`repro.tree.paths`
-also serves as the oracle the tests check these tables against.
+Nothing in either path grows a Python-level loop with the depth or
+with the size of a subtree a splice moves: the walk stops at the cap,
+and the tour touches only the runs holding the tokens a change edits
+(see :mod:`repro.tree.euler_tour`).  The structure is *simulation-local*
+bookkeeping: it models no messages and charges no counters (the
+centralized cost model charges package moves only, and the distributed
+engine's agents still pay one message per physical hop).
+:mod:`repro.tree.paths` keeps the plain parent walks as the reference
+the tests check it against.
 """
 
 from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.errors import TopologyError
+from repro.tree.euler_tour import EulerTour
 from repro.tree.node import TreeNode
 from repro.tree.ports import AdversarialPortAssigner, PortAssigner
+
+#: Parent hops a depth or ancestor query walks before it reads (and if
+#: need be builds) the Euler tour.
+WALK_CAP = 64
 
 
 class TreeListener:
@@ -104,14 +96,9 @@ class DynamicTree:
         # most one controller pins stores into TreeNode slots at a time;
         # later controllers on the same tree fall back to dict lookups.
         self.store_slot_owner: Optional[object] = None
-        # Ancestry cache state: ``_anc_epoch`` is bumped to invalidate
-        # every table at once (large-subtree splices); ``anc_generation``
-        # counts every splice, so depth caches layered on top (e.g. the
-        # controller's parked-host depths) know when to refresh.
-        self._anc_epoch = 0
-        self.anc_generation = 0
+        # Built by the first query past WALK_CAP, then maintained.
+        self._tour: Optional[EulerTour] = None
         self.root = self._new_node(parent=None)
-        self.root._anc_epoch = 0
         self._alive: Set[TreeNode] = {self.root}
         self.total_ever = 1
         self.topology_changes = 0
@@ -189,46 +176,38 @@ class DynamicTree:
     def depth(self, node: TreeNode) -> int:
         """Hop distance from ``node`` to the root.
 
-        O(log depth) amortized via the jump tables: climb the maximal
-        jump of each landing node, summing powers of two.
+        A parent walk of at most :data:`WALK_CAP` hops; deeper nodes
+        read the Euler tour.
         """
-        epoch = self._anc_epoch
-        hops = 0
-        current = node
-        while True:
-            jumps = (current._anc_jumps if current._anc_epoch == epoch
-                     else self._anc_table(current))
-            if not jumps:
+        current: Optional[TreeNode] = node
+        for hops in range(WALK_CAP):
+            current = current.parent
+            if current is None:
                 return hops
-            hops += 1 << (len(jumps) - 1)
-            current = jumps[-1]
+        return self._euler().depth(node)
 
     def ancestor_at(self, node: TreeNode, hops: int) -> TreeNode:
         """The ancestor exactly ``hops`` edges above ``node``.
 
         Semantics match :func:`repro.tree.paths.ancestor_at` (raises
-        ``ValueError`` when the root is closer than ``hops``) but the
-        query runs in O(log depth) amortized: binary decomposition of
-        ``hops`` over the jump tables.  Every node the decomposition
-        lands on is an ancestor of ``node``, whose table is fresh or
-        rebuilt on demand by :meth:`_anc_table`.
+        ``TopologyError`` when the root is closer than ``hops``).  Up to
+        :data:`WALK_CAP` hops are walked; farther ancestors are read
+        from the Euler tour, which only a node past the cap can need.
         """
         if hops < 0:
             raise TopologyError(f"negative hop count {hops}")
-        epoch = self._anc_epoch
-        current = node
-        remaining = hops
-        while remaining:
-            jumps = (current._anc_jumps if current._anc_epoch == epoch
-                     else self._anc_table(current))
-            if not jumps:
-                raise TopologyError(f"{node} has no ancestor {hops} hops up")
-            i = remaining.bit_length() - 1
-            if i >= len(jumps):
-                i = len(jumps) - 1
-            current = jumps[i]
-            remaining -= 1 << i
-        return current
+        if hops <= WALK_CAP:
+            current = node
+            for _ in range(hops):
+                parent = current.parent
+                if parent is None:
+                    raise TopologyError(
+                        f"{node} has no ancestor {hops} hops up")
+                current = parent
+            return current
+        if self._tour is None and self.depth(node) < hops:
+            raise TopologyError(f"{node} has no ancestor {hops} hops up")
+        return self._euler().ancestor(node, hops)
 
     def ancestor_distance(self, node: TreeNode,
                           ancestor: TreeNode) -> Optional[int]:
@@ -236,8 +215,8 @@ class DynamicTree:
 
         ``None`` when ``ancestor`` does not lie on ``node``'s root path
         (the non-raising cousin of
-        :func:`repro.tree.paths.distance_to_ancestor`).  O(log depth)
-        amortized: a depth difference plus one ``ancestor_at`` check.
+        :func:`repro.tree.paths.distance_to_ancestor`): a depth
+        difference plus one ``ancestor_at`` check.
         """
         dist = self.depth(node) - self.depth(ancestor)
         if dist < 0:
@@ -253,6 +232,8 @@ class DynamicTree:
         self._record_change()
         node = self._new_node(parent=parent)
         parent.children.append(node)
+        if self._tour is not None:
+            self._tour.insert_leaf(node)
         self._wire_edge(parent, node)
         self._alive.add(node)
         self.total_ever += 1
@@ -274,14 +255,13 @@ class DynamicTree:
                 f"{parent} is not the parent of {child}; cannot split edge"
             )
         self._record_change()
-        # Every node of ``child``'s subtree moves one hop further from
-        # the root: lazily invalidate its ancestry caches.
-        self._anc_mark_stale(child)
         node = self._new_node(parent=parent)
         index = parent.children.index(child)
         parent.children[index] = node
         node.children.append(child)
         child.parent = node
+        if self._tour is not None:
+            self._tour.insert_above(node, child)
         # Re-wire ports: parent's old port to child now reaches node;
         # node gets fresh ports on both sides; child's parent port is new.
         parent.detach_port_to(child)
@@ -306,8 +286,8 @@ class DynamicTree:
         parent.children.remove(node)
         parent.detach_port_to(node)
         node.alive = False
-        node._anc_jumps = []
-        node._anc_epoch = -1
+        if self._tour is not None:
+            self._tour.remove(node)
         self._alive.discard(node)
         for listener in self._listeners:
             listener.on_remove_leaf(node, parent)
@@ -326,10 +306,6 @@ class DynamicTree:
         self._record_change()
         parent = node.parent
         children = list(node.children)
-        # Every node of every child subtree moves one hop closer to the
-        # root: lazily invalidate their ancestry caches.
-        for child in children:
-            self._anc_mark_stale(child)
         index = parent.children.index(node)
         parent.children[index:index + 1] = children
         parent.detach_port_to(node)
@@ -339,8 +315,8 @@ class DynamicTree:
             self._wire_edge(parent, child)
         node.children.clear()
         node.alive = False
-        node._anc_jumps = []
-        node._anc_epoch = -1
+        if self._tour is not None:
+            self._tour.remove(node)
         self._alive.discard(node)
         for listener in self._listeners:
             listener.on_remove_internal(node, parent, children)
@@ -349,124 +325,43 @@ class DynamicTree:
     # Validation (tests call this after random mutation storms).
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Check structural integrity; raises ``TopologyError`` on damage."""
+        """Check structural integrity; raises ``TopologyError`` on damage.
+
+        Once the Euler tour is built, it must match the tree too (see
+        :meth:`repro.tree.euler_tour.EulerTour.check`).
+        """
         seen: Set[TreeNode] = set()
-        stack = [(self.root, 0)]
+        stack = [self.root]
         while stack:
-            node, hops = stack.pop()
+            node = stack.pop()
             if node in seen:
                 raise TopologyError(f"cycle through {node}")
             seen.add(node)
             if not node.alive:
                 raise TopologyError(f"dead node {node} still reachable")
-            if node._anc_epoch == self._anc_epoch:
-                # A fresh ancestry cache must be exact (the lazy scheme's
-                # soundness invariant): the table's derived depth matches
-                # the DFS depth and jump[0] is the parent pointer.
-                if hops == 0:
-                    if node._anc_jumps:
-                        raise TopologyError(
-                            f"root-depth node {node} has a jump table")
-                else:
-                    if (not node._anc_jumps
-                            or node._anc_jumps[0] is not node.parent):
-                        raise TopologyError(
-                            f"ancestry jump[0] of {node} is not its parent")
-                    cached = self.depth(node)
-                    if cached != hops:
-                        raise TopologyError(
-                            f"stale-but-fresh ancestry at {node}: cached "
-                            f"depth {cached}, actual {hops}")
             for child in node.children:
                 if child.parent is not node:
                     raise TopologyError(
                         f"{child}.parent is {child.parent}, expected {node}"
                     )
-                stack.append((child, hops + 1))
+                stack.append(child)
         if seen != self._alive:
             raise TopologyError(
                 f"reachable set ({len(seen)}) != alive set ({len(self._alive)})"
             )
-
-    # ------------------------------------------------------------------
-    # Skip-pointer ancestry internals.
-    # ------------------------------------------------------------------
-    #: Budget for per-splice subtree invalidation walks; subtrees larger
-    #: than this are invalidated in O(1) by bumping the global epoch.
-    _ANC_MARK_BUDGET = 64
-
-    def _anc_mark_stale(self, top: TreeNode) -> None:
-        """Invalidate ancestry caches for ``top``'s subtree (a splice
-        shifted its depths).
-
-        Small subtrees are walked and flag-marked individually; past
-        :data:`_ANC_MARK_BUDGET` nodes the walk stops and the global
-        epoch is bumped instead, invalidating every table at O(1) cost
-        (the already-marked prefix is harmless).  Tables are rebuilt
-        lazily by queries either way, so a splice never pays for
-        descendants that are never queried again.
-        """
-        self.anc_generation += 1
-        budget = self._ANC_MARK_BUDGET
-        stack = [top]
-        while stack:
-            node = stack.pop()
-            node._anc_epoch = -1
-            node._anc_jumps = []
-            budget -= 1
-            if budget <= 0 and (stack or node.children):
-                self._anc_epoch += 1
-                return
-            stack.extend(node.children)
-
-    def _anc_table(self, node: TreeNode) -> List[TreeNode]:
-        """Build (memoized) the jump table of ``node``.
-
-        ``jumps[0]`` is the parent and ``jumps[i+1] = jumps[i]``'s
-        ``2^i``-ancestor, read from ``jumps[i]``'s own table — so
-        building one table may demand tables of ancestors, resolved
-        iteratively with an explicit worklist (deep stale chains exceed
-        the interpreter recursion limit).  Every table is built at most
-        once per invalidation of its node, and only for nodes actually
-        reached by queries.
-        """
-        epoch = self._anc_epoch
-        pending = [node]
-        while pending:
-            entry = pending[-1]
-            if entry._anc_epoch == epoch:
-                pending.pop()
-                continue
-            parent = entry.parent
-            if parent is None:
-                entry._anc_jumps = []
-                entry._anc_epoch = epoch
-                pending.pop()
-                continue
-            jumps = [parent]
-            blocked = None
-            i = 0
-            while True:
-                hop = jumps[i]
-                if hop._anc_epoch != epoch:
-                    blocked = hop
-                    break
-                hop_jumps = hop._anc_jumps
-                if i >= len(hop_jumps):
-                    break
-                jumps.append(hop_jumps[i])
-                i += 1
-            if blocked is not None:
-                pending.append(blocked)
-                continue
-            entry._anc_jumps = jumps
-            entry._anc_epoch = epoch
-            pending.pop()
-        return node._anc_jumps
+        if self._tour is not None:
+            order, _parents, sizes = self.preorder_layout()
+            self._tour.check(order, sizes)
 
     # ------------------------------------------------------------------
     # Internals.
     # ------------------------------------------------------------------
+    def _euler(self) -> EulerTour:
+        """The Euler tour, built in one preorder pass on first need."""
+        if self._tour is None:
+            self._tour = EulerTour(self.root)
+        return self._tour
+
     def _new_node(self, parent: Optional[TreeNode]) -> TreeNode:
         node = TreeNode(self._next_id, parent=parent)
         self._next_id += 1

@@ -8,9 +8,12 @@ distributed controller of Appendix A runs *two* controllers on the same
 tree simultaneously and relies on this separation.
 """
 
-from typing import Dict, KeysView, List, Optional
+from typing import TYPE_CHECKING, Dict, KeysView, List, Optional
 
 from repro.errors import TopologyError
+
+if TYPE_CHECKING:
+    from repro.tree.euler_tour import TourBlock
 
 
 class TreeNode:
@@ -41,8 +44,8 @@ class TreeNode:
         "alive",
         "port_to_parent",
         "_ports",
-        "_anc_jumps",
-        "_anc_epoch",
+        "_tour_in",
+        "_tour_out",
         "_store_owner",
         "_store",
     )
@@ -57,16 +60,14 @@ class TreeNode:
         # each endpoint; each node knows the port leading to its parent.
         self.port_to_parent: Optional[int] = None
         self._ports: Dict[int, "TreeNode"] = {}
-        # Skip-pointer ancestry cache, owned by DynamicTree (see
-        # ``DynamicTree.ancestor_at``): the jump table (``_anc_jumps[i]``
-        # is the ancestor ``2^i`` hops up; depth is derived by climbing
-        # the maximal jumps) plus the tree epoch it was built under —
-        # the cache is fresh iff the epochs match (-1 = never built /
-        # explicitly invalidated).  Simulation-local bookkeeping: the
-        # distributed protocols never read it, so the memory bounds of
-        # Section 4.4 are unaffected.
-        self._anc_jumps: List["TreeNode"] = []
-        self._anc_epoch = -1
+        # Euler-tour ancestry, owned by DynamicTree (see
+        # ``repro.tree.euler_tour``): the tour blocks holding this
+        # node's entry and exit tokens, ``None`` while the tree has not
+        # built its tour (or after the node's deletion).
+        # Simulation-local bookkeeping: the distributed protocols never
+        # read it, so the memory bounds of Section 4.4 are unaffected.
+        self._tour_in: Optional["TourBlock"] = None
+        self._tour_out: Optional["TourBlock"] = None
         # Store fast-path slot (see ``repro.core.packages.StoreMap``):
         # one controller at a time may pin its per-node store here so
         # hot loops replace dict probes (which pay a Python-level

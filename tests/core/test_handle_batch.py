@@ -8,8 +8,9 @@ driving twin trees (identical construction => identical node ids) with
 a recorded stream, across every initial topology of
 ``workloads/scenarios.py``, every request mix, and all four controller
 flavours — plus a twin whose controller lost the tree's store-slot
-arbitration, so the slot / skip-pointer fast paths are proven
-behaviour-preserving against dict stores and parent-pointer walks.
+arbitration, so the slot fast path is proven behaviour-preserving
+against dict stores, and a twin pinned to the filler climb, so the
+indexed host scan is proven to take the same packages.
 """
 
 import random
@@ -134,10 +135,10 @@ def test_terminating_batch_equals_sequential():
 
 
 def test_engine_off_matches_engine_on():
-    """A slotless twin (dict stores, the climb, parent walks) must
-    reproduce the slot holder's outcomes and counters exactly — the
-    fast paths are pure optimizations.  The tight-psi runs park, merge
-    on deletion and take packages, and must trace identically."""
+    """A slotless twin (dict stores) must reproduce the slot holder's
+    outcomes and counters exactly — the slots are a pure optimization.
+    The tight-psi runs park, merge on deletion and take packages, and
+    must trace identically."""
     def make(tree):
         ctrl = IteratedController(tree, m=800, w=50, u=800)
         return ctrl, ctrl.handle
@@ -148,8 +149,8 @@ def test_engine_off_matches_engine_on():
     assert_equivalent(a, b)
 
     # Tight psi on a deep path (as in the kernel-equivalence deep-path
-    # test): under churn the slot holder climbs over slots; on PLAIN
-    # traffic it warms its tables and scans the mobile-host index.
+    # test): under churn and on PLAIN traffic alike, both twins pick
+    # the filler search by the host count against the depth.
     real_merge = NodeStore.merge_from
     for mix in (default_mix(), {RequestKind.PLAIN: 1.0}):
         traces, merged = {}, []
@@ -173,6 +174,50 @@ def test_engine_off_matches_engine_on():
         assert trace_a.events == trace_b.events
         if RequestKind.REMOVE_LEAF in mix:
             assert merged, "no parked package was merged on deletion"
+
+
+class _IndexedScanCounter(CentralizedController):
+    """Counts the packages the indexed host scan takes."""
+
+    indexed_takes = 0
+
+    def _find_filler_indexed(self, node, node_depth):
+        package, dist = super()._find_filler_indexed(node, node_depth)
+        if package is not None:
+            self.indexed_takes += 1
+        return package, dist
+
+
+class _ClimbOnly(CentralizedController):
+    """Always runs the filler climb, whatever the host count."""
+
+    def _find_filler_indexed(self, node, node_depth):
+        return self._find_filler_climb(node)
+
+
+@pytest.mark.parametrize("mix_name,mix", [
+    ("default", default_mix()),
+    ("plain", {RequestKind.PLAIN: 1.0}),
+])
+def test_indexed_scan_takes_what_the_climb_takes(mix_name, mix):
+    """Tight psi on a path deeper than the walk cap: the controller
+    that scans the mobile-host index whenever fewer hosts park packages
+    than the requester is deep must take the same package from the same
+    host, at the same distance, as a twin that always climbs."""
+    traces = {}
+
+    def make(tree):
+        trace = traces[tree] = KernelTrace()
+        cls = _ClimbOnly if len(traces) == 2 else _IndexedScanCounter
+        ctrl = cls(tree, m=3000, w=1500, u=2000, kernel_trace=trace)
+        return ctrl, ctrl.handle
+    a, b = drive_twins(make, TOPOLOGIES["path"], n=600, steps=300,
+                       batch_size=16, mix=mix, seed=4)
+    assert type(a[0]) is _IndexedScanCounter and type(b[0]) is _ClimbOnly
+    assert_equivalent(a, b)
+    assert a[0].indexed_takes > 0
+    assert a[2]._tour is not None, "the path never went past the walk cap"
+    assert traces[a[2]].events == traces[b[2]].events
 
 
 def test_exhaustion_and_reject_wave_through_batches():

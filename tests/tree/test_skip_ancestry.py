@@ -1,10 +1,11 @@
-"""Property tests for the skip-pointer level-ancestor structure.
+"""Seeded churn and deep-path regressions for the ancestry queries.
 
 The contract: ``DynamicTree.depth`` / ``ancestor_at`` /
 ``ancestor_distance`` agree *exactly* with the naive parent-pointer
 walks of :mod:`repro.tree.paths`, under arbitrary interleavings of all
 four topology events — including the splice events that shift whole
-subtrees and therefore invalidate cached tables.
+subtrees.  The Hypothesis property and the Euler tour's own checks
+live in ``test_ancestry.py``.
 """
 
 import random
@@ -76,9 +77,9 @@ def test_ancestor_at_error_semantics_match_naive():
 
 
 def test_depth_beyond_recursion_limit():
-    """Stale-chain repair must be iterative: a path far deeper than the
-    interpreter recursion limit, invalidated by a splice near the root,
-    must still answer queries."""
+    """Nothing may recurse: a path far deeper than the interpreter
+    recursion limit, spliced near the root, must still answer
+    queries."""
     tree = DynamicTree()
     node = tree.root
     chain = [node]
@@ -86,7 +87,7 @@ def test_depth_beyond_recursion_limit():
         node = tree.add_leaf(node)
         chain.append(node)
     assert tree.depth(node) == 5000
-    # Splice just below the root: every cached table goes stale.
+    # Splice just below the root: every depth below it shifts.
     tree.add_internal(tree.root, chain[1])
     assert tree.depth(node) == 5001
     assert tree.ancestor_at(node, 5001) is tree.root
@@ -97,35 +98,20 @@ def test_depth_beyond_recursion_limit():
 
 
 def test_small_and_large_subtree_invalidation_paths():
-    """Both invalidation strategies (budgeted walk and global epoch
-    bump) must leave the structure exact."""
+    """Splices near the bottom and near the top of a path past the
+    walk cap both leave the structure exact."""
     tree = DynamicTree()
     spine = [tree.root]
     for _ in range(300):
         spine.append(tree.add_leaf(spine[-1]))
-    # Warm every table.
+    # Query every node, which builds the Euler tour.
     for node in spine:
         tree.depth(node)
-    # Small subtree: splice near the bottom (budgeted walk path).
+    # Small subtree: splice near the bottom.
     tree.add_internal(spine[-2], spine[-1])
     assert tree.depth(spine[-1]) == 301
-    # Large subtree: splice near the top (global epoch bump path).
+    # Large subtree: splice near the top.
     tree.add_internal(spine[0], spine[1])
     assert tree.depth(spine[-1]) == 302
     assert tree.ancestor_at(spine[-1], 302) is tree.root
     tree.validate()
-
-
-def test_mark_budget_boundary_is_exact():
-    """Subtrees right at the budget boundary stay correct."""
-    budget = DynamicTree._ANC_MARK_BUDGET
-    for extra in (-1, 0, 1):
-        tree = DynamicTree()
-        top = tree.add_leaf(tree.root)
-        leaves = [tree.add_leaf(top) for _ in range(budget + extra)]
-        for leaf in leaves:
-            tree.depth(leaf)
-        spliced = tree.add_internal(tree.root, top)
-        assert tree.depth(leaves[0]) == 3
-        assert tree.ancestor_at(leaves[0], 2) is spliced
-        tree.validate()

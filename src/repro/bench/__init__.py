@@ -1,50 +1,34 @@
-"""``repro.bench`` — the experiment-runner CLI of the request engine.
+"""``repro.bench`` — the paper-claim and audit sweeps, as a CLI.
 
-One-liner reproduction of the perf trajectory::
+One-liner reproduction of the paper's checked claims::
 
-    python -m repro.bench move_complexity
-    python -m repro.bench batch --steps 2000 --batch-size 64
-    python -m repro.bench scenario --topology path --controller iterated --steps 1000
-    python -m repro.bench distributed_batch --sizes 200
-    python -m repro.bench profile --scenario deep_burst
-    python -m repro.bench memory --sizes 100,400
-    python -m repro.bench session --out BENCH_session.json
-    python -m repro.bench apps --out BENCH_apps.json
-    python -m repro.bench gateway --out BENCH_gateway.json
-    python -m repro.bench fleet --out BENCH_fleet.json
+    python -m repro.bench move_complexity             # Observation 3.4
+    python -m repro.bench scenario --name all         # invariant grid
+    python -m repro.bench memory --sizes 100,400      # Claim 4.8
+    python -m repro.bench apps --out BENCH_apps.json  # Section 5 apps
 
-Every scenario returns (and prints) a JSON document: the parameters it
-ran with, one row per configuration, and the derived headline numbers,
-so ``BENCH_*.json`` files checked into the repo are reproducible from
-the command line alone.  See :mod:`repro.bench.runner` for the scenario
-implementations and ``docs/architecture.md`` for how the engine under
-measurement works.
+Every subcommand returns (and prints) a JSON document: the parameters
+it ran with, one row or cell per configuration, and the derived
+headline numbers, so ``BENCH_*.json`` files checked into the repo are
+reproducible from the command line alone.  Every subcommand also
+**raises** when the claim or audit it checks fails.  Wall-clock
+measurement is not done here: ``stackbench/`` times the whole stack
+(see ``stackbench/README.md``).  See :mod:`repro.bench.runner` for the
+implementations and ``docs/architecture.md`` for the engine under test.
 """
 
 from repro.bench.runner import (
     SCENARIOS,
     run_apps,
-    run_batch,
-    run_distributed_batch,
-    run_fleet,
-    run_gateway,
     run_memory,
     run_move_complexity,
-    run_profile,
-    run_scenario_bench,
-    run_session_overhead,
+    run_scenario_grid,
 )
 
 __all__ = [
     "SCENARIOS",
     "run_apps",
-    "run_batch",
-    "run_distributed_batch",
-    "run_fleet",
-    "run_gateway",
     "run_memory",
     "run_move_complexity",
-    "run_profile",
-    "run_scenario_bench",
-    "run_session_overhead",
+    "run_scenario_grid",
 ]

@@ -11,15 +11,28 @@ semantics.
 
 Scaled-down specs keep the full product (5 scenarios x 8 flavours)
 fast enough for tier-1.
+
+For the synchronous flavours the stronger four-arm property holds too:
+direct ``handle_batch`` and ``handle`` and the session's
+``serve_stream`` and ``serve`` produce the identical verdict sequence,
+in order, and identical move counters.
 """
+
+import random
 
 import pytest
 
-from repro import CONTROLLER_FLAVORS, make_controller
+from repro import CONTROLLER_FLAVORS, OutcomeStatus, make_controller
 from repro.metrics.invariants import audit_controller, tally_outcomes
 from repro.service import ControllerSession, SessionConfig
 from repro.workloads.catalogue import CATALOGUE, get_scenario
-from repro.workloads.scenarios import TreeMirror, request_spec
+from repro.workloads.scenarios import (
+    NodePicker,
+    TreeMirror,
+    build_random_tree,
+    random_request,
+    request_spec,
+)
 
 SCALE = 0.25
 
@@ -69,3 +82,71 @@ def test_session_tallies_match_legacy(name, flavor):
     assert report.passed, report.violations
     # The final tree states agree too (same grants => same topology).
     assert tree_session.size == tree_legacy.size
+
+
+#: Flavours whose ``handle_batch`` consumes its input lazily: a recorded
+#: spec that targets a node created earlier in the same chunk resolves
+#: only if the chunk is mirrored one request at a time.
+SYNCHRONOUS_FLAVORS = ("centralized", "iterated", "adaptive",
+                       "terminating", "trivial")
+
+
+@pytest.mark.parametrize("flavor", SYNCHRONOUS_FLAVORS)
+def test_direct_and_session_arms_agree(flavor):
+    """One default-mix stream, replayed on twin trees in four arms:
+    ``handle_batch`` and ``serve_stream`` in chunks of 16, ``handle``
+    and ``serve`` one request at a time.  The budget runs out two
+    thirds of the way in, so the stream crosses the reject wave."""
+    n, steps, chunk = 120, 300, 16
+    m, w, u = 200, n // 4, 4 * n
+
+    def session(tree):
+        return ControllerSession(
+            SessionConfig.of(flavor, m=m, w=w, u=u, max_in_flight=1 << 20),
+            tree=tree)
+
+    scratch = build_random_tree(n, seed=0)
+    recorder = session(scratch)
+    rng = random.Random(0)
+    picker = NodePicker(scratch)
+    specs = []
+    for _ in range(steps):
+        request = random_request(scratch, rng, picker=picker)
+        specs.append(request_spec(request))
+        recorder.serve(request)
+    picker.detach()
+
+    def replay(arm):
+        tree = build_random_tree(n, seed=0)
+        mirror = TreeMirror(tree)
+        if arm.startswith("direct"):
+            engine = make_controller(flavor, tree, m=m, w=w, u=u)
+            counters = engine.counters
+        else:
+            engine = session(tree)
+            counters = engine.controller.counters
+        statuses = []
+        for base in range(0, steps, chunk):
+            block = specs[base:base + chunk]
+            if arm == "direct_batch":
+                outcomes = engine.handle_batch(mirror.requests(block))
+            elif arm == "session_batch":
+                outcomes = [r.outcome for r in
+                            engine.serve_stream(mirror.requests(block))]
+            elif arm == "direct_seq":
+                outcomes = [engine.handle(mirror.request(spec))
+                            for spec in block]
+            else:
+                outcomes = [engine.serve(mirror.request(spec)).outcome
+                            for spec in block]
+            statuses.extend(o.status for o in outcomes)
+        mirror.detach()
+        return statuses, counters.snapshot()
+
+    baseline = replay("direct_batch")
+    assert baseline[0].count(OutcomeStatus.GRANTED) == m
+    assert baseline[1] == recorder.controller.counters.snapshot()
+    for arm in ("session_batch", "direct_seq", "session_seq"):
+        statuses, counters = replay(arm)
+        assert statuses == baseline[0], f"{flavor}/{arm}: verdicts diverged"
+        assert counters == baseline[1], f"{flavor}/{arm}: counters diverged"

@@ -1,4 +1,4 @@
-"""Smoke tests for the ``python -m repro.bench`` experiment runner."""
+"""Tests for the ``python -m repro.bench`` paper-claim and audit sweeps."""
 
 import json
 import os
@@ -7,110 +7,66 @@ import sys
 
 import pytest
 
-from repro.bench import (
-    SCENARIOS,
-    run_batch,
-    run_distributed_batch,
-    run_scenario_bench,
-)
+from repro.bench import SCENARIOS, run_move_complexity, run_scenario_grid
+from repro.bench import runner
+from repro.bench.__main__ import main
+from repro.errors import ConfigError, InvariantViolation
 
 
 def test_registry_names():
-    assert set(SCENARIOS) == {"move_complexity", "batch",
-                              "scenario", "scenario_grid",
-                              "distributed_batch", "session",
-                              "apps", "gateway", "profile", "memory",
-                              "fleet"}
+    assert set(SCENARIOS) == {"move_complexity", "scenario", "memory",
+                              "apps"}
 
 
-def test_batch_scenario_checks_equivalence():
-    result = run_batch(n=120, steps=240, batch_size=16)
-    assert result["outcomes_identical"] and result["counters_identical"]
-    json.dumps(result)
+def test_move_complexity_raises_when_moves_reach_the_bound(monkeypatch):
+    """Observation 3.4 is checked, not only reported: a bound the run
+    exceeds raises, with the document attached as evidence."""
+    monkeypatch.setattr(runner, "observation_3_4_bound",
+                        lambda u, m, w: 10.0)
+    with pytest.raises(InvariantViolation, match="Observation 3.4") as info:
+        run_move_complexity(sizes=[40, 80])
+    document = info.value.document
+    assert [row["n"] for row in document["rows"]] == [40, 80]
+    assert all(row["ratio"] >= 1 for row in document["rows"])
+    json.dumps(document)
 
 
-@pytest.mark.parametrize("controller", ["centralized", "iterated",
-                                        "adaptive", "terminating"])
-def test_generic_scenario_all_controllers(controller):
-    result = run_scenario_bench(controller=controller, n=80, steps=160,
-                                batch_size=8)
-    assert result["granted"] + result["rejected"] + result["cancelled"] \
-        + result["pending"] == 160
-    json.dumps(result)
+@pytest.mark.parametrize("argv", [
+    ["--name", "hot_spot", "--seeds", ""],
+    ["--name", ","],
+    ["--name", "hot_spot", "--engines", ","],
+    ["--name", "hot_spot", "--engines", "distributed", "--policy", ""],
+    ["--name", "hot_spot", "--scale", "-1"],
+    ["--name", "hot_spot", "--scale", "0"],
+])
+def test_grid_that_would_check_nothing_is_a_config_error(argv):
+    """An empty name, seed, engine or (with the distributed engine)
+    policy list runs no cell; a non-positive scale runs specs clamped to
+    their floors.  Each is refused before any cell runs instead of
+    passing an audit of nothing."""
+    with pytest.raises(ConfigError):
+        main(["scenario"] + argv)
 
 
-def test_distributed_batch_scenario():
-    result = run_distributed_batch(sizes=[60])
-    row = result["rows"][0]
-    assert row["granted"] == row["requests"]
-    json.dumps(result)
-
-
-def test_gateway_bench_shape_and_audit():
-    """A small ``gateway`` run: throughput + latency fields present,
-    the breaker cycled, and the full-stack audit is clean.  (Absolute
-    throughput is not asserted — the contract under test is shape +
-    conservation + the trip/recover cycle.)"""
-    from repro.bench import run_gateway
-    result = run_gateway(scenario="mixed_flood", seeds="0,1", clients=3,
-                         wave=8, batch_size=8, scale=0.4)
-    json.dumps(result)
-    assert result["passed"] and result["violations"] == 0
-    assert result["throughput"]["breaker_trips"] >= 1
-    assert result["throughput"]["breaker_recoveries"] >= 1
-    assert result["throughput"]["sustained_req_per_s"] > 0
-    for cell in result["cells"]:
-        stats = cell["stats"]
-        assert stats["double_settles"] == 0 and stats["aborted"] == 0
-        assert stats["accepted"] == stats["settled"]
-        assert cell["latency_wall_ms"]["p99"] >= \
-            cell["latency_wall_ms"]["p50"]
-        assert cell["fault_stats"].get("stalls", 0) > 0
-
-
-def test_session_overhead_rejects_eager_batch_flavors():
-    """The bench's lazy TreeMirror replay cannot feed engines that
-    materialize batches up front; asking for one is a ConfigError, not
-    a mid-run KeyError."""
-    from repro.bench import run_session_overhead
-    from repro.errors import ConfigError
-    with pytest.raises(ConfigError, match="synchronous flavours"):
-        run_session_overhead(n=60, steps=80, batch_size=16, repeats=1,
-                             flavor="distributed")
-
-
-def test_session_overhead_is_equivalence_checked():
-    from repro.bench import run_session_overhead
-    result = run_session_overhead(n=100, steps=200, batch_size=16,
-                                  repeats=1)
-    # Timing on a tiny run is noise; the contract under test is the
-    # four-arm outcome/counter equivalence and the document shape.
-    assert result["equivalent"] is True
-    assert result["granted"] + result["rejected"] + result["cancelled"] \
-        + result["pending"] == 200
-    assert result["target_pct"] == 5.0
-    for key in ("direct_batch_ms", "session_batch_ms",
-                "overhead_batch_pct", "overhead_seq_pct",
-                "within_target"):
-        assert key in result
-    json.dumps(result)
+def test_grid_without_distributed_needs_no_policy():
+    result = run_scenario_grid(name="hot_spot", policy="", seeds="0",
+                               engines="iterated", scale=0.25)
+    assert result["summary"]["cells"] == 1
+    assert result["summary"]["checks_run"] > 0
+    assert result["summary"]["passed"]
 
 
 def test_apps_bench_shape_and_equivalence():
-    """A small ``apps`` run: the seq/batch arms must agree, the grid
-    must audit clean, and the document must be JSON-serializable.
-    (Timing thresholds are not asserted at this scale — the contract
-    under test is equivalence + shape.)"""
+    """A small ``apps`` run: the complexity fits hold their envelope,
+    the grid audits clean, and the document is JSON-serializable.
+    (The serve vs serve_stream equivalence is
+    ``tests/apps/test_app_equivalence.py::test_serve_and_stream_paths_agree``.)"""
     from repro.bench import run_apps
     result = run_apps(apps="size_estimation,name_assignment",
-                      sizes=[48, 96], steps_per_node=2, overhead_n=60,
-                      overhead_steps=120, batch_size=16, repeats=1,
+                      sizes=[48, 96], steps_per_node=2,
                       policies="fifo,random", faults="stall=0.05",
                       grid_n=20, grid_steps=40)
     json.dumps(result)
-    for row in result["overhead"]["rows"]:
-        assert row["equivalent"] is True
-    assert result["overhead"]["target_pct"] == 5.0
     for fit in result["complexity"]:
         assert fit["polylog_envelope_held"] is True
         assert fit["log_log_slope"] is not None
@@ -118,37 +74,11 @@ def test_apps_bench_shape_and_equivalence():
     # 2 apps x 2 policies x {no faults, stall plan}.
     assert len(grid["cells"]) == 8
     assert grid["passed"] and grid["violations"] == 0
+    assert grid["checks_run"] > 0
     faulted = [c for c in grid["cells"] if c["faults"] != "none"]
     assert faulted and all("fault_stats" in c for c in faulted)
     # With a stall plan over whole runs, some cell must have stalled.
     assert any(c["fault_stats"].get("stalls", 0) > 0 for c in faulted)
-
-
-def test_fleet_bench_shape_and_audit():
-    """A small ``fleet`` run: every cell audits clean, the 1-shard arm
-    is bit-for-bit equivalent to the plain session, the skewed stress
-    cells produce cross-shard transfers (including a live reclaim) and
-    end in the global reject wave.  (The 3x-at-4-shards bar is only
-    asserted when a 4-shard cell runs — this scaled run stops at 2.)"""
-    from repro.bench import run_fleet
-    result = run_fleet(shards="1,2", steps=200, clients=32)
-    json.dumps(result)
-    assert result["passed"] and result["violations"] == 0
-    assert result["equivalence"]["equivalent"] is True
-    assert [c["shards"] for c in result["cells"]] == [1, 2]
-    for cell in result["cells"]:
-        assert cell["audit_passed"] is True
-        assert cell["tally"].get("rejected", 0) == 0
-        assert cell["sustained_req_per_s"] > 0
-        assert cell["makespan_ticks"] <= cell["total_ticks"]
-    baseline = result["scaling"][0]
-    assert baseline["shards"] == 1 and baseline["speedup"] == 1.0
-    stress = result["stress"]
-    assert len(stress["tranche_cell"]["transfers"]) >= 1
-    assert stress["tranche_cell"]["reject_wave"] is True
-    assert stress["tranche_cell"]["granted_total"] == \
-        stress["tranche_cell"]["m_total"]
-    assert "reclaim" in stress["reclaim_cell"]["transfer_kinds"]
 
 
 def test_apps_bench_rejects_unknown_names():
@@ -157,6 +87,11 @@ def test_apps_bench_rejects_unknown_names():
         run_apps(apps="definitely_not_an_app")
     with pytest.raises(ValueError, match="unknown policy"):
         run_apps(apps="size_estimation", policies="yolo")
+    # An empty list would leave the grid with no cell to audit.
+    with pytest.raises(ConfigError, match="empty app"):
+        run_apps(apps=",")
+    with pytest.raises(ConfigError, match="empty policy"):
+        run_apps(apps="size_estimation", policies="")
 
 
 def test_cli_list_and_run(tmp_path):
@@ -171,30 +106,31 @@ def test_cli_list_and_run(tmp_path):
     assert listed == set(SCENARIOS)
     out = tmp_path / "bench.json"
     run = subprocess.run(
-        env_cmd + ["scenario", "--n", "60", "--steps", "120",
-                   "--batch-size", "10", "--out", str(out)],
+        env_cmd + ["scenario", "--name", "hot_spot", "--engines",
+                   "iterated", "--seeds", "0", "--scale", "0.25",
+                   "--out", str(out)],
         capture_output=True, text=True, check=True, env=env,
     )
     document = json.loads(out.read_text())
-    assert document["scenario"] == "scenario"
+    assert document["scenario"] == "scenario_grid"
+    assert document["summary"]["passed"] and document["summary"]["cells"] == 1
     assert json.loads(run.stdout) == document
 
 
 @pytest.mark.parametrize("argv", [
-    ["batch", "--batch-size", "0"],
-    ["batch", "--batch-size", "-1"],
-    ["batch", "--n", "0"],
-    ["scenario", "--batch-size", "0"],
-    ["scenario", "--steps", "-5"],
-    ["session", "--repeats", "0"],
-    ["gateway", "--clients", "0"],
-    ["gateway", "--wave", "-2"],
-    ["fleet", "--steps", "0"],
+    ["move_complexity", "--sizes", "0,200"],
+    ["move_complexity", "--sizes", "-5,200"],
+    ["move_complexity", "--sizes", "200"],
+    ["memory", "--sizes", "0"],
+    ["apps", "--sizes", "100,-1"],
+    ["apps", "--steps-per-node", "0"],
+    ["apps", "--grid-n", "0"],
+    ["apps", "--grid-steps", "0"],
+    ["apps", "--grid-steps", "-2"],
 ])
 def test_count_flags_reject_non_positive_values(argv, capsys):
     """A zero or negative count is a usage error (exit 2, the flag
     named on stderr), not a crash inside the run."""
-    from repro.bench.__main__ import main
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
